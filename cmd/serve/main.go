@@ -229,7 +229,7 @@ func main() {
 	// Graceful shutdown: stop accepting, drain in-flight HTTP requests,
 	// then drain the micro-batcher. log.Fatal skips defers, so the
 	// teardown is explicit.
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := newHTTPServer(*addr, handler)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -254,6 +254,31 @@ func main() {
 	<-done
 	srv.Close()
 	log.Print("drained")
+}
+
+// The daemon's HTTP timeouts. A client that stalls on its headers or
+// body, or idles on a keep-alive connection, is cut off. WriteTimeout
+// runs from the end of the request headers to the end of the reply, and
+// an /observe reply waits for the fine-tune and the publish (about 9 s at
+// the median on a 2-vCPU host under read load), so it sits an order of
+// magnitude above that. It also caps /debug/pprof/profile's seconds.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the daemon's http.Server for handler on addr.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // persist writes the trained predictor with SaveModel.

@@ -16,8 +16,10 @@
 // Two mechanisms keep the per-step graph churn off the garbage collector:
 // every op output and interior gradient is drawn from the size-classed pool
 // in internal/tensor, and ReleaseGraph hands a finished graph's buffers
-// back. Callers that skip ReleaseGraph (tests, one-shot evaluations) simply
-// fall back to GC collection.
+// back. Op outputs skip the pool's clear (each op overwrites its output in
+// full); gradient buffers are always zeroed. Callers that skip
+// ReleaseGraph (tests, one-shot evaluations) simply fall back to GC
+// collection.
 //
 // Disjoint graphs may run Backward concurrently: topological sorting marks
 // nodes with a per-traversal generation stamp drawn from an atomic counter
@@ -89,9 +91,12 @@ func (v *Value) ZeroGrad() {
 }
 
 // newResult allocates the output node for an op over parents. The output
-// matrix is pool-backed and zeroed; the caller computes it afterwards.
+// matrix is pool-backed and NOT zeroed: every op writes each element of
+// its output (through an Into kernel or its own full loop) before anything
+// reads it, so clearing the buffer first would be wasted work. The
+// gradient buffer is zeroed, since backward passes accumulate into it.
 func newResult(rows, cols int, op string, parents ...*Value) *Value {
-	out := &Value{Data: newMat(rows, cols), op: op, parents: parents}
+	out := &Value{Data: tensor.GetPooledUnzeroed(rows, cols), op: op, parents: parents}
 	for _, p := range parents {
 		if p.requiresGrad {
 			out.requiresGrad = true

@@ -535,3 +535,70 @@ func TestPooledGraphSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("pooled graph step allocates %v objects; pool not effective", allocs)
 	}
 }
+
+// poisonPool leaves one buffer of rows x cols's size class in the matrix
+// pool with every slot set to v.
+func poisonPool(rows, cols int, v float64) {
+	m := tensor.GetPooled(rows, cols)
+	m.Data = m.Data[:cap(m.Data)]
+	m.Fill(v)
+	tensor.PutPooled(m)
+}
+
+// Op outputs come from the pool unzeroed, so every op must write each
+// element of its output. Each op runs twice over constant inputs (so its
+// output is the only pool draw), once right after leaving a zero-filled
+// buffer of the output's size class in the pool and once after leaving a
+// NaN-filled one: any element an op fails to write shows up as a
+// difference.
+func TestOpOutputsOverwriteDirtyPool(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	c := func(r, cols int) *Value { return NewConst(randMat(rng, r, cols)) }
+	a, b := c(5, 6), c(5, 6)
+	sq := c(6, 3)
+	row := c(1, 6)
+	feats := randMat(rng, 5, 2)
+	target := randMat(rng, 5, 6)
+	weight := randMat(rng, 5, 6)
+	ops := []struct {
+		name string
+		f    func() *Value
+	}{
+		{"Add", func() *Value { return Add(a, b) }},
+		{"Sub", func() *Value { return Sub(a, b) }},
+		{"Mul", func() *Value { return Mul(a, b) }},
+		{"Scale", func() *Value { return Scale(a, -1.5) }},
+		{"AddScalar", func() *Value { return AddScalar(a, 2) }},
+		{"MatMul", func() *Value { return MatMul(a, sq) }},
+		{"AddRowVector", func() *Value { return AddRowVector(a, row) }},
+		{"Gather", func() *Value { return Gather(a, []int{4, 0, 4}) }},
+		{"GatherCols", func() *Value { return GatherCols(a, []int{1, 3}, 2, 5) }},
+		{"ConcatCols", func() *Value { return ConcatCols(a, b) }},
+		{"ConcatConstCols", func() *Value { return ConcatConstCols(feats, a) }},
+		{"ConcatConstColsNil", func() *Value { return ConcatConstCols(nil, a) }},
+		{"SliceCols", func() *Value { return SliceCols(a, 1, 4) }},
+		{"RowSum", func() *Value { return RowSum(a) }},
+		{"RowDot", func() *Value { return RowDot(a, b) }},
+		{"Sum", func() *Value { return Sum(a) }},
+		{"Mean", func() *Value { return Mean(a) }},
+		{"GELU", func() *Value { return GELU(a) }},
+		{"Softmax", func() *Value { return Softmax(a) }},
+		{"MSE", func() *Value { return MSE(a, target) }},
+		{"WeightedMSE", func() *Value { return WeightedMSE(a, target, weight) }},
+		{"Pinball", func() *Value { return Pinball(a, target, 0.9) }},
+	}
+	for _, op := range ops {
+		shape := op.f()
+		r, cols := shape.Rows(), shape.Cols()
+		poisonPool(r, cols, 0)
+		want := op.f().Data
+		poisonPool(r, cols, math.NaN())
+		got := op.f().Data
+		for i, v := range got.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s: output element %d is %v on a dirty pool buffer, %v on a clean one",
+					op.name, i, v, want.Data[i])
+			}
+		}
+	}
+}

@@ -11,8 +11,9 @@ import (
 // served by any previously released slice of the same class.
 //
 // GetPooled always returns zeroed storage, so callers may rely on the same
-// invariant New provides. PutPooled is optional: storage that is never
-// returned is simply collected by the GC.
+// invariant New provides; GetPooledUnzeroed skips the clear for callers
+// that overwrite every element anyway. PutPooled is optional: storage that
+// is never returned is simply collected by the GC.
 
 // maxPoolClass bounds pooled slices at 1<<maxPoolClass floats (512 MiB);
 // anything larger is allocated and freed normally.
@@ -28,7 +29,15 @@ func sizeClass(n int) int {
 
 // GetPooled returns a zeroed rows x cols matrix, reusing pooled storage when
 // available. Release it with PutPooled once no longer referenced.
-func GetPooled(rows, cols int) *Matrix {
+func GetPooled(rows, cols int) *Matrix { return getPooled(rows, cols, true) }
+
+// GetPooledUnzeroed is GetPooled without the clear: reused storage keeps
+// whatever its previous owner left in it. Only for a caller that writes
+// every element before reading any, such as an op output filled in full
+// by an Into kernel.
+func GetPooledUnzeroed(rows, cols int) *Matrix { return getPooled(rows, cols, false) }
+
+func getPooled(rows, cols int, zero bool) *Matrix {
 	n := rows * cols
 	if n <= 0 {
 		return New(rows, cols)
@@ -40,7 +49,9 @@ func GetPooled(rows, cols int) *Matrix {
 	if v := pools[class].Get(); v != nil {
 		buf := *(v.(*[]float64))
 		data := buf[:n]
-		clear(data)
+		if zero {
+			clear(data)
+		}
 		return &Matrix{Rows: rows, Cols: cols, Data: data}
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, n, 1<<class)}

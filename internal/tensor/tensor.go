@@ -146,8 +146,65 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
-// minParallelWork is the flop count below which MatMul stays single-threaded.
+// minParallelWork is the multiply-add count below which the matrix
+// products stay single-threaded.
 const minParallelWork = 1 << 18
+
+// parallelRows runs fn over the output rows [0, rows) in contiguous
+// ranges, one goroutine per range, once work (the product's multiply-add
+// count) reaches minParallelWork. Every output row belongs to exactly one
+// range and each range computes its rows exactly as the serial loop
+// would, so the split never changes a result.
+func parallelRows(rows, work int, fn func(lo, hi int)) {
+	workers := 1
+	if work >= minParallelWork {
+		workers = min(runtime.GOMAXPROCS(0), rows)
+	}
+	if workers <= 1 {
+		fn(0, rows)
+		return
+	}
+	chunk := (rows + workers - 1) / workers
+	var wg sync.WaitGroup
+	lo := 0
+	for ; lo+chunk < rows; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, lo+chunk)
+	}
+	fn(lo, rows) // the last range runs on the caller's goroutine
+	wg.Wait()
+}
+
+// addProducts computes d[j] += a*b[j], the one-term update of the
+// matrix products' inner loops.
+func addProducts(d []float64, a float64, b []float64) {
+	b = b[:len(d)]
+	for j := range d {
+		d[j] += a * b[j]
+	}
+}
+
+// addProducts2 computes d[j] = d[j] + a0*b0[j] + a1*b1[j], evaluated left
+// to right: two consecutive k terms per pass over d, so each element sums
+// its terms in the same order as two addProducts calls. A term whose
+// coefficient is zero is skipped, as the products skip it one term at a
+// time; this also keeps 0*Inf from turning an element into NaN.
+func addProducts2(d []float64, a0 float64, b0 []float64, a1 float64, b1 []float64) {
+	switch {
+	case a0 != 0 && a1 != 0:
+		b0, b1 = b0[:len(d)], b1[:len(d)]
+		for j := range d {
+			d[j] = d[j] + a0*b0[j] + a1*b1[j]
+		}
+	case a0 != 0:
+		addProducts(d, a0, b0)
+	case a1 != 0:
+		addProducts(d, a1, b1)
+	}
+}
 
 // MatMul returns a*b.
 func MatMul(a, b *Matrix) *Matrix {
@@ -168,49 +225,24 @@ func MatMulInto(dst, a, b *Matrix, accumulate bool) {
 	if !accumulate {
 		dst.Zero()
 	}
-	work := a.Rows * a.Cols * b.Cols
-	workers := 1
-	if work >= minParallelWork {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > a.Rows {
-			workers = a.Rows
-		}
-	}
-	if workers <= 1 {
-		matMulRange(dst, a, b, 0, a.Rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for lo := 0; lo < a.Rows; lo += chunk {
-		hi := lo + chunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matMulRange(dst, a, b, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	parallelRows(a.Rows, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
+		matMulRange(dst, a, b, lo, hi)
+	})
 }
 
 // matMulRange computes rows [lo,hi) of dst += a*b using the cache-friendly
-// i-k-j ordering.
+// i-k-j ordering, two k terms per pass over the output row.
 func matMulRange(dst, a, b *Matrix, lo, hi int) {
 	n := b.Cols
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*n : (k+1)*n]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
+		k := 0
+		for ; k+1 < len(arow); k += 2 {
+			addProducts2(drow, arow[k], b.Data[k*n:(k+1)*n], arow[k+1], b.Data[(k+1)*n:(k+2)*n])
+		}
+		if k < len(arow) && arow[k] != 0 {
+			addProducts(drow, arow[k], b.Data[k*n:(k+1)*n])
 		}
 	}
 }
@@ -247,16 +279,27 @@ func MatMulATBInto(dst, a, b *Matrix, accumulate bool) {
 	if !accumulate {
 		dst.Zero()
 	}
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
+	parallelRows(a.Cols, a.Rows*a.Cols*b.Cols, func(lo, hi int) {
+		matMulATBRange(dst, a, b, lo, hi)
+	})
+}
+
+// matMulATBRange computes rows [lo,hi) of dst += aᵀ*b: the k-i-j ordering,
+// two k terms (rows of a and b) per pass over each output row.
+func matMulATBRange(dst, a, b *Matrix, lo, hi int) {
+	k := 0
+	for ; k+1 < a.Rows; k += 2 {
+		a0, a1 := a.Row(k)[lo:hi], a.Row(k + 1)[lo:hi]
+		b0, b1 := b.Row(k), b.Row(k+1)
+		for i, av := range a0 {
+			addProducts2(dst.Row(lo+i), av, b0, a1[i], b1)
+		}
+	}
+	if k < a.Rows {
 		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			drow := dst.Row(i)
-			for j, bv := range brow {
-				drow[j] += av * bv
+		for i, av := range a.Row(k)[lo:hi] {
+			if av != 0 {
+				addProducts(dst.Row(lo+i), av, brow)
 			}
 		}
 	}
@@ -271,11 +314,41 @@ func MatMulABTInto(dst, a, b *Matrix, accumulate bool) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulABT dst %dx%d for %dx%d result", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	for i := 0; i < a.Rows; i++ {
+	parallelRows(a.Rows, a.Rows*a.Cols*b.Rows, func(lo, hi int) {
+		matMulABTRange(dst, a, b, accumulate, lo, hi)
+	})
+}
+
+// matMulABTRange computes rows [lo,hi) of dst = a*bᵀ (or dst += a*bᵀ).
+// Four output columns share each pass over a's row, each with its own
+// accumulator summing its k terms in order.
+func matMulABTRange(dst, a, b *Matrix, accumulate bool, lo, hi int) {
+	kn := a.Cols
+	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
+		j := 0
+		for ; j+3 < b.Rows; j += 4 {
+			b0, b1 := b.Row(j)[:kn], b.Row(j + 1)[:kn]
+			b2, b3 := b.Row(j + 2)[:kn], b.Row(j + 3)[:kn]
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			if accumulate {
+				drow[j] += s0
+				drow[j+1] += s1
+				drow[j+2] += s2
+				drow[j+3] += s3
+			} else {
+				drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+			}
+		}
+		for ; j < b.Rows; j++ {
+			brow := b.Row(j)[:kn]
 			var s float64
 			for k, av := range arow {
 				s += av * brow[k]

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -110,17 +111,170 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
-// TestMatMulParallelMatchesSerial checks that the goroutine-sharded path
-// produces exactly the same result as the serial path.
+// refMatMul, refMatMulATB and refMatMulABT are the plain one-term loops
+// the matrix products are defined by, kept as a bitwise oracle for the
+// unrolled, multi-accumulator and row-parallel production kernels. Each
+// output element sums its k terms in increasing k order; refMatMul and
+// refMatMulATB skip a term whose left factor is zero.
+func refMatMul(dst, a, b *Matrix, accumulate bool) {
+	if !accumulate {
+		dst.Zero()
+	}
+	n := b.Cols
+	for i := 0; i < a.Rows; i++ {
+		drow := dst.Row(i)
+		for k, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b.Data[k*n : (k+1)*n] {
+				drow[j] += av * bv
+			}
+		}
+	}
+}
+
+func refMatMulATB(dst, a, b *Matrix, accumulate bool) {
+	if !accumulate {
+		dst.Zero()
+	}
+	for k := 0; k < a.Rows; k++ {
+		brow := b.Row(k)
+		for i, av := range a.Row(k) {
+			if av == 0 {
+				continue
+			}
+			drow := dst.Row(i)
+			for j, bv := range brow {
+				drow[j] += av * bv
+			}
+		}
+	}
+}
+
+func refMatMulABT(dst, a, b *Matrix, accumulate bool) {
+	for i := 0; i < a.Rows; i++ {
+		drow := dst.Row(i)
+		for j := 0; j < b.Rows; j++ {
+			brow := b.Row(j)
+			var s float64
+			for k, av := range a.Row(i) {
+				s += av * brow[k]
+			}
+			if accumulate {
+				drow[j] += s
+			} else {
+				drow[j] = s
+			}
+		}
+	}
+}
+
+// oracleMatrix draws a rows x cols matrix for the kernel oracle: normal
+// entries salted, by mode, with whole zero rows and columns, -0, and
+// sparse ±Inf/NaN.
+func oracleMatrix(rng *rand.Rand, rows, cols, mode int) *Matrix {
+	m := randMatrix(rng, rows, cols)
+	if mode == 0 {
+		return m
+	}
+	for i := 0; i < rows; i++ {
+		if rng.Intn(5) == 0 {
+			clear(m.Row(i))
+		}
+	}
+	for j := 0; j < cols; j++ {
+		if rng.Intn(5) == 0 {
+			for i := 0; i < rows; i++ {
+				m.Set(i, j, 0)
+			}
+		}
+	}
+	specials := []float64{0, math.Copysign(0, -1)}
+	if mode == 2 {
+		specials = append(specials, math.Inf(1), math.Inf(-1), math.NaN())
+	}
+	for i := range m.Data {
+		if rng.Intn(40) == 0 {
+			m.Data[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return m
+}
+
+// sameBits reports whether a and b hold bitwise-identical elements: Equal
+// at tolerance 0, the same sign on every zero and infinity, and NaN exactly
+// where the other has NaN.
+func sameBits(a, b *Matrix) bool {
+	if !Equal(a, b, 0) {
+		return false
+	}
+	for i, v := range a.Data {
+		w := b.Data[i]
+		if math.IsNaN(v) || math.IsNaN(w) {
+			if math.IsNaN(v) != math.IsNaN(w) {
+				return false
+			}
+			continue
+		}
+		if math.Float64bits(v) != math.Float64bits(w) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMatMulParallelMatchesSerial checks the three matrix products against
+// the one-term reference loops bit for bit: odd and prime shapes, shapes on
+// both sides of minParallelWork, zero rows and columns, -0, ±Inf and NaN,
+// with and without accumulate, at GOMAXPROCS 1 and 4.
 func TestMatMulParallelMatchesSerial(t *testing.T) {
+	type shape struct{ r, k, c int }
+	shapes := []shape{
+		{1, 1, 1}, {1, 2, 3}, {2, 1, 5}, {3, 5, 7}, {7, 3, 2}, {13, 11, 17},
+		{5, 31, 4}, {29, 8, 3}, {4, 4, 9},
+		{67, 61, 67},   // just above minParallelWork
+		{61, 67, 61},   // just below it
+		{300, 120, 90}, // well above it, more rows than workers
+		{2, 509, 263},  // above it with fewer rows than workers
+	}
+	kernels := []struct {
+		name      string
+		prod, ref func(dst, a, b *Matrix, accumulate bool)
+		// dims gives a's and b's shapes for an r x c result with inner
+		// dimension k.
+		dims func(s shape) (ar, ac, br, bc int)
+	}{
+		{"MatMulInto", MatMulInto, refMatMul,
+			func(s shape) (int, int, int, int) { return s.r, s.k, s.k, s.c }},
+		{"MatMulATBInto", MatMulATBInto, refMatMulATB,
+			func(s shape) (int, int, int, int) { return s.k, s.r, s.k, s.c }},
+		{"MatMulABTInto", MatMulABTInto, refMatMulABT,
+			func(s shape) (int, int, int, int) { return s.r, s.k, s.c, s.k }},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(3))
-	a := randMatrix(rng, 300, 120) // 300*120*90 > minParallelWork
-	b := randMatrix(rng, 120, 90)
-	par := MatMul(a, b)
-	ser := New(a.Rows, b.Cols)
-	matMulRange(ser, a, b, 0, a.Rows)
-	if !Equal(par, ser, 0) {
-		t.Fatal("parallel MatMul differs from serial")
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, kn := range kernels {
+			for _, s := range shapes {
+				for mode := 0; mode < 3; mode++ {
+					for _, acc := range []bool{false, true} {
+						ar, ac, br, bc := kn.dims(s)
+						a := oracleMatrix(rng, ar, ac, mode)
+						b := oracleMatrix(rng, br, bc, mode)
+						got := oracleMatrix(rng, s.r, s.c, mode)
+						want := got.Clone()
+						kn.prod(got, a, b, acc)
+						kn.ref(want, a, b, acc)
+						if !sameBits(got, want) {
+							t.Fatalf("GOMAXPROCS %d %s %dx%dx%d mode %d accumulate %v: differs from the reference loop",
+								procs, kn.name, s.r, s.k, s.c, mode, acc)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -515,4 +669,24 @@ func TestPoolSizeClassReuse(t *testing.T) {
 		t.Fatalf("len %d want 128", len(n.Data))
 	}
 	PutPooled(n)
+}
+
+func TestPoolUnzeroedVariant(t *testing.T) {
+	m := GetPooledUnzeroed(3, 5)
+	if m.Rows != 3 || m.Cols != 5 || len(m.Data) != 15 || cap(m.Data) != 16 {
+		t.Fatalf("GetPooledUnzeroed(3, 5) = %dx%d len %d cap %d", m.Rows, m.Cols, len(m.Data), cap(m.Data))
+	}
+	m.Fill(7)
+	PutPooled(m)
+	// Storage handed out dirty still comes back zeroed through GetPooled.
+	n := GetPooled(5, 3)
+	for _, v := range n.Data {
+		if v != 0 {
+			t.Fatal("GetPooled returned dirty storage")
+		}
+	}
+	PutPooled(n)
+	if e := GetPooledUnzeroed(0, 4); e.Rows != 0 || e.Cols != 4 || len(e.Data) != 0 {
+		t.Fatalf("GetPooledUnzeroed(0, 4) = %dx%d len %d", e.Rows, e.Cols, len(e.Data))
+	}
 }

@@ -37,6 +37,7 @@ package pitot
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -184,21 +185,50 @@ func newPredictor(s *snapshot) *Predictor {
 // dataset is owned by the returned Predictor and must not be mutated by
 // the caller afterwards.
 func Train(ds *Dataset, opts Options) (*Predictor, error) {
-	if err := ds.Validate(); err != nil {
+	split, mean, quant, err := newFit(ds, opts)
+	if err != nil {
 		return nil, err
+	}
+	// The two models share only the read-only dataset and split and draw
+	// from separate seeds, so fitting the quantile model on its own
+	// goroutine gives bitwise the weights of fitting them one after the
+	// other. Both fits are always waited for, whichever of them fails.
+	var quantErr error
+	var wg sync.WaitGroup
+	if quant != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, quantErr = quant.Train(split)
+		}()
+	}
+	_, meanErr := mean.Train(split)
+	wg.Wait()
+	if err := errors.Join(meanErr, quantErr); err != nil {
+		return nil, err
+	}
+	return newPredictor(newSnapshot(ds, mean, quant, split, 0, mean.Cfg.FastScoring)), nil
+}
+
+// newFit draws Train's train/validation/calibration split and builds the
+// untrained mean model and, with opts.EnableBounds, the untrained quantile
+// model (nil otherwise).
+func newFit(ds *Dataset, opts Options) (split dataset.Split, mean, quant *core.Model, err error) {
+	if err := ds.Validate(); err != nil {
+		return split, nil, nil, err
 	}
 	hold := opts.HoldoutFraction
 	if hold == 0 {
 		hold = 0.2
 	}
 	if hold <= 0 || hold >= 1 {
-		return nil, fmt.Errorf("pitot: holdout fraction %v out of (0,1)", hold)
+		return split, nil, nil, fmt.Errorf("pitot: holdout fraction %v out of (0,1)", hold)
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	perm := rng.Perm(len(ds.Obs))
 	nHold := int(hold * float64(len(ds.Obs)))
 	nVal := nHold / 2
-	split := dataset.Split{
+	split = dataset.Split{
 		Val:   perm[:nVal],
 		Cal:   perm[nVal:nHold],
 		Train: perm[nHold:],
@@ -210,28 +240,18 @@ func Train(ds *Dataset, opts Options) (*Predictor, error) {
 		cfg.Seed = opts.Seed
 	}
 	cfg.Quantiles = nil
-	mean, err := core.NewModel(cfg, ds)
-	if err != nil {
-		return nil, err
+	if mean, err = core.NewModel(cfg, ds); err != nil {
+		return split, nil, nil, err
 	}
-	if _, err := mean.Train(split); err != nil {
-		return nil, err
-	}
-
-	var quant *core.Model
 	if opts.EnableBounds {
 		qcfg := cfg
 		qcfg.Quantiles = core.PaperQuantiles()
 		qcfg.Seed = opts.Seed + 1
-		quant, err = core.NewModel(qcfg, ds)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := quant.Train(split); err != nil {
-			return nil, err
+		if quant, err = core.NewModel(qcfg, ds); err != nil {
+			return split, nil, nil, err
 		}
 	}
-	return newPredictor(newSnapshot(ds, mean, quant, split, 0, cfg.FastScoring)), nil
+	return split, mean, quant, nil
 }
 
 // Estimate returns the predicted runtime in seconds of workload w on

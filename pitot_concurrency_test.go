@@ -1,9 +1,12 @@
 package pitot
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // boundsPred lazily trains one bounds-enabled predictor shared by the
@@ -193,5 +196,52 @@ func TestConcurrentObserveSerializes(t *testing.T) {
 	}
 	if got := pred.Info().Observations; got != base+writers {
 		t.Fatalf("%d observations, want %d", got, base+writers)
+	}
+}
+
+// TestTrainParallelFitsMatchSequential pins Train's concurrent fits to a
+// sequential reference: the mean model, then the quantile model, each
+// through core with one worker. Both saved streams must be byte-identical.
+// The towers are wide enough for the row-parallel matrix products to fan
+// out.
+func TestTrainParallelFitsMatchSequential(t *testing.T) {
+	ds := smallDataset()
+	opts := smallOptions(7, true)
+	opts.Model.Hidden = 128
+	opts.Model.Steps = 24
+	opts.Model.EvalEvery = 12
+	pred, err := Train(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotMean, gotQuant bytes.Buffer
+	if err := pred.SaveModel(&gotMean, &gotQuant); err != nil {
+		t.Fatal(err)
+	}
+
+	split, mean, quant, err := newFit(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*core.Model{mean, quant} {
+		// Workers is saved with the config: restore it after the fit so
+		// only the weights can differ.
+		workers := m.Cfg.Workers
+		m.Cfg.Workers = 1
+		if _, err := m.Train(split); err != nil {
+			t.Fatal(err)
+		}
+		m.Cfg.Workers = workers
+	}
+	ref := newPredictor(newSnapshot(ds, mean, quant, split, 0, mean.Cfg.FastScoring))
+	var wantMean, wantQuant bytes.Buffer
+	if err := ref.SaveModel(&wantMean, &wantQuant); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotMean.Bytes(), wantMean.Bytes()) {
+		t.Error("mean model stream differs from the sequential fit")
+	}
+	if !bytes.Equal(gotQuant.Bytes(), wantQuant.Bytes()) {
+		t.Error("quantile model stream differs from the sequential fit")
 	}
 }
