@@ -181,9 +181,11 @@ func newPredictor(s *snapshot) *Predictor {
 }
 
 // Train fits Pitot on the dataset. All observations are used: 80% (by
-// default) for fitting and the rest for validation and calibration. The
-// dataset is owned by the returned Predictor and must not be mutated by
-// the caller afterwards.
+// default) for fitting and the rest for validation and calibration. With
+// EnableBounds the mean and quantile models are fitted concurrently, with
+// the same weights as fitting them one after the other. The dataset is
+// owned by the returned Predictor and must not be mutated by the caller
+// afterwards.
 func Train(ds *Dataset, opts Options) (*Predictor, error) {
 	split, mean, quant, err := newFit(ds, opts)
 	if err != nil {
@@ -214,7 +216,7 @@ func Train(ds *Dataset, opts Options) (*Predictor, error) {
 // untrained mean model and, with opts.EnableBounds, the untrained quantile
 // model (nil otherwise).
 func newFit(ds *Dataset, opts Options) (split dataset.Split, mean, quant *core.Model, err error) {
-	if err := ds.Validate(); err != nil {
+	if err = ds.Validate(); err != nil {
 		return split, nil, nil, err
 	}
 	hold := opts.HoldoutFraction
