@@ -56,7 +56,7 @@
 //	-strategy          least-loaded, best-fit, or utilization
 //	-arrival-rate      mean job arrivals per simulated second (Poisson)
 //	-trials            independent replays (run in parallel; aggregated)
-//	-chunk             jobs placed per scheduler-lock hold (0 default,
+//	-chunk             jobs placed per replica-lock hold (0 default,
 //	                   negative = whole wave)
 //	-retry-limit       re-queue failed placements for up to N retries after
 //	                   subsequent completions (0 drops them immediately)
@@ -291,7 +291,7 @@ func main() {
 		trials      = flag.Int("trials", 4, "independent replay trials (parallel)")
 		coloc       = flag.Int("colocation", 4, "max workloads per platform")
 		maxInFlight = flag.Int("max-inflight", 0, "admission bound on in-flight jobs (0 = capacity only)")
-		chunk       = flag.Int("chunk", 0, "jobs placed per scheduler-lock hold (0 = default, negative = whole wave)")
+		chunk       = flag.Int("chunk", 0, "jobs placed per replica-lock hold (0 = default, negative = whole wave)")
 		retryLimit  = flag.Int("retry-limit", 3, "retry failed placements after later completions, up to N attempts each (0 = drop)")
 		retryBO     = flag.Float64("retry-backoff", 0, "base retry backoff in simulated seconds, doubled per attempt with seeded jitter (0 = retry on next completion)")
 		retryBOMax  = flag.Float64("retry-backoff-max", 0, "cap on the exponential retry backoff (0 = uncapped)")

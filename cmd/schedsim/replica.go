@@ -87,7 +87,7 @@ func scalingPoints(max int) []int {
 // the next (bounded in-flight, so admission never dominates the signal).
 // Conservation is checked fatally, mirroring the streaming simulator.
 func runPoint(cfg replicaBenchConfig, nRep, nShards int) (benchPoint, error) {
-	rs, err := sched.NewReplicaSet(sched.Config{
+	rs, err := sched.NewReplicated(sched.Config{
 		NumPlatforms:  cfg.Cluster.NumPlatforms(),
 		MaxColocation: cfg.Coloc,
 		WaveChunk:     cfg.Chunk,

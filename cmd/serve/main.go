@@ -82,8 +82,8 @@ func main() {
 		placeInFlight = flag.Int("place-max-inflight", 0, "admission bound on in-flight jobs (0 = platform capacity)")
 		placeWindow   = flag.Duration("place-window", 200*time.Microsecond, "fuse concurrent single-job /place calls arriving within this window into one wave (0 disables)")
 		placeMaxWave  = flag.Int("place-max-wave", 64, "cap on a fused /place wave")
-		placeChunk    = flag.Int("place-chunk", 0, "jobs placed per scheduler-lock hold (0 = default, negative = whole wave)")
-		placeReplicas = flag.Int("place-replicas", 1, "scheduler replicas over one shared slot store (>1 enables optimistic replicated placement)")
+		placeChunk    = flag.Int("place-chunk", 0, "jobs placed per replica-lock hold (0 = default, negative = whole wave)")
+		placeReplicas = flag.Int("place-replicas", 1, "scheduler replicas placing concurrently into one shared slot store")
 		placeShards   = flag.Int("place-shards", 0, "platform shards across replicas (0 = one shared pool; requires -place-replicas > 1)")
 		placeCache    = flag.Bool("place-score-cache", false, "memoize wave scoring: intra-wave workload dedup + version-keyed cross-wave score cache (decisions unchanged)")
 		placeCacheCap = flag.Int("place-score-cache-cap", 0, "total score-cache entry bound across platforms (0 = default 4096; requires -place-score-cache)")

@@ -9,7 +9,7 @@ type SchedMetrics struct {
 	ScoreBatch *Histogram
 	// WavePlace is the end-to-end latency of one PlaceAll wave (seconds).
 	WavePlace *Histogram
-	// ChunkHold is the scheduler-lock hold time of one wave chunk
+	// ChunkHold is the replica-lock hold time of one wave chunk
 	// (seconds), lock-acquired to lock-released.
 	ChunkHold *Histogram
 	// WaveSize is the distribution of PlaceAll wave sizes (jobs).

@@ -355,6 +355,81 @@ func TestBreakerWindowSlides(t *testing.T) {
 	}
 }
 
+// chaosStreamCase draws one random chaos replay: cluster size, platform
+// speeds, and a Stream configuration with correlated failure groups,
+// degrade mixes, retry budgets, backoff, and breaker cooldown.
+func chaosStreamCase(seed int64) (nP int, base []float64, cfg StreamConfig) {
+	rng := rand.New(rand.NewSource(900 + seed))
+	nP = 3 + rng.Intn(4)
+	base = make([]float64, nP)
+	for i := range base {
+		base[i] = 0.5 + 1.5*rng.Float64()
+	}
+	groups := [][]int{nil} // one correlated group over a random prefix, rest independent
+	cut := 1 + rng.Intn(nP)
+	for p := 0; p < cut; p++ {
+		groups[0] = append(groups[0], p)
+	}
+	for p := cut; p < nP; p++ {
+		groups = append(groups, []int{p})
+	}
+	cfg = StreamConfig{
+		Jobs:          60 + rng.Intn(60),
+		ArrivalRate:   2 + 3*rng.Float64(),
+		RetryLimit:    rng.Intn(3),
+		FeedbackEvery: 0,
+		Chaos: &ChaosConfig{
+			MTTF:        4 + 10*rng.Float64(),
+			MTTR:        1 + 2*rng.Float64(),
+			Groups:      groups,
+			DegradeProb: rng.Float64() * 0.5,
+			Seed:        seed * 31,
+		},
+	}
+	if rng.Float64() < 0.5 {
+		cfg.RetryBackoff = 0.2 + rng.Float64()
+		cfg.RetryBackoffMax = 4
+	}
+	if rng.Float64() < 0.5 {
+		cfg.BreakerCooldown = 2 + 4*rng.Float64()
+	}
+	return nP, base, cfg
+}
+
+// runChaosStream replays chaosStreamCase(seed) through a scheduler with
+// the given replication and checks that it drains.
+func runChaosStream(t *testing.T, seed int64, rc ReplicaConfig) (StreamResult, *Scheduler) {
+	t.Helper()
+	nP, base, cfg := chaosStreamCase(seed)
+	oracle := oracleFunc(func(w, p int, ks []int) float64 {
+		return 0.4 + 0.1*float64(w%3) + 0.2*float64(len(ks))
+	})
+	source := func(rng *rand.Rand, i int) Job {
+		return Job{Workload: i % 10, Deadline: 0.6 + 2*rng.Float64()}
+	}
+	s := mustNewReplicated(t, Config{
+		NumPlatforms: nP, MaxColocation: 2, MaxInFlight: 2 * nP,
+		Breaker: BreakerConfig{Window: 6, Threshold: 0.5, MinSamples: 3},
+	}, rc, BoundPolicy{Eps: 0.1}, &batchPred{Predictor: variedPred{base}})
+	res, err := Stream(cfg, s, oracle, source, nil, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	if got := s.InFlight(); got != 0 {
+		t.Fatalf("seed %d: in-flight after stream: %d", seed, got)
+	}
+	if res.Arrived != cfg.Jobs {
+		t.Fatalf("seed %d: arrived %d of %d", seed, res.Arrived, cfg.Jobs)
+	}
+	if res.Arrived != res.Completed+res.Unplaced+res.Rejected {
+		t.Fatalf("seed %d: arrival conservation broken: %+v", seed, res)
+	}
+	if res.Placed != res.Completed+res.Orphaned {
+		t.Fatalf("seed %d: placement conservation broken: %+v", seed, res)
+	}
+	return res, s
+}
+
 // TestStreamChaosConservation is the job-conservation property test: across
 // random chaos schedules (correlated groups, degrade mixes, retry budgets,
 // backoff), every arrival ends in exactly one terminal state and every
@@ -362,76 +437,35 @@ func TestBreakerWindowSlides(t *testing.T) {
 // duplicated. Identical seeds must replay identically.
 func TestStreamChaosConservation(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(900 + seed))
-		nP := 3 + rng.Intn(4)
-		base := make([]float64, nP)
-		for i := range base {
-			base[i] = 0.5 + 1.5*rng.Float64()
-		}
-		groups := [][]int{nil} // one correlated group over a random prefix, rest independent
-		cut := 1 + rng.Intn(nP)
-		for p := 0; p < cut; p++ {
-			groups[0] = append(groups[0], p)
-		}
-		for p := cut; p < nP; p++ {
-			groups = append(groups, []int{p})
-		}
-		cfg := StreamConfig{
-			Jobs:          60 + rng.Intn(60),
-			ArrivalRate:   2 + 3*rng.Float64(),
-			RetryLimit:    rng.Intn(3),
-			FeedbackEvery: 0,
-			Chaos: &ChaosConfig{
-				MTTF:        4 + 10*rng.Float64(),
-				MTTR:        1 + 2*rng.Float64(),
-				Groups:      groups,
-				DegradeProb: rng.Float64() * 0.5,
-				Seed:        seed * 31,
-			},
-		}
-		if rng.Float64() < 0.5 {
-			cfg.RetryBackoff = 0.2 + rng.Float64()
-			cfg.RetryBackoffMax = 4
-		}
-		if rng.Float64() < 0.5 {
-			cfg.BreakerCooldown = 2 + 4*rng.Float64()
-		}
-		oracle := oracleFunc(func(w, p int, ks []int) float64 {
-			return 0.4 + 0.1*float64(w%3) + 0.2*float64(len(ks))
-		})
-		source := func(rng *rand.Rand, i int) Job {
-			return Job{Workload: i % 10, Deadline: 0.6 + 2*rng.Float64()}
-		}
-		run := func() StreamResult {
-			s := mustNew(t, Config{
-				NumPlatforms: nP, MaxColocation: 2, MaxInFlight: 2 * nP,
-				Breaker: BreakerConfig{Window: 6, Threshold: 0.5, MinSamples: 3},
-			}, BoundPolicy{Eps: 0.1}, &batchPred{Predictor: variedPred{base}})
-			res, err := Stream(cfg, s, oracle, source, nil, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if got := s.InFlight(); got != 0 {
-				t.Fatalf("seed %d: in-flight after stream: %d", seed, got)
-			}
-			return res
-		}
-		res := run()
-		if res.Arrived != cfg.Jobs {
-			t.Fatalf("seed %d: arrived %d of %d", seed, res.Arrived, cfg.Jobs)
-		}
-		if res.Arrived != res.Completed+res.Unplaced+res.Rejected {
-			t.Fatalf("seed %d: arrival conservation broken: %+v", seed, res)
-		}
-		if res.Placed != res.Completed+res.Orphaned {
-			t.Fatalf("seed %d: placement conservation broken: %+v", seed, res)
-		}
+		res, _ := runChaosStream(t, seed, ReplicaConfig{})
 		if res.Orphaned != res.OrphanReplaced+res.OrphanLost+inRetryOrphans(res) {
 			t.Fatalf("seed %d: orphan accounting broken: %+v", seed, res)
 		}
-		if res2 := run(); res != res2 {
+		if res2, _ := runChaosStream(t, seed, ReplicaConfig{}); res != res2 {
 			t.Fatalf("seed %d: replay not deterministic:\n%+v\n%+v", seed, res, res2)
 		}
+	}
+}
+
+// TestStreamChaosReplicated drives the same chaos replays through a
+// two-replica scheduler over one shared pool, so every placement, orphan,
+// and breaker outcome goes through the optimistic commit protocol with
+// waves alternating between replicas whose views go stale between turns.
+// Conservation must hold exactly as on one replica (run under -race), and
+// across the seeds both replicas must have committed work and failures must
+// have orphaned some of it.
+func TestStreamChaosReplicated(t *testing.T) {
+	var orphaned int
+	var commits [2]uint64
+	for seed := int64(0); seed < 6; seed++ {
+		res, s := runChaosStream(t, seed, ReplicaConfig{Replicas: 2, Shards: 1})
+		orphaned += res.Orphaned
+		for i, rs := range s.ReplicaStats() {
+			commits[i] += rs.Commits
+		}
+	}
+	if orphaned == 0 || commits[0] == 0 || commits[1] == 0 {
+		t.Fatalf("replays exercised too little: %d orphaned, commits per replica %v", orphaned, commits)
 	}
 }
 
@@ -487,7 +521,7 @@ func TestFailRacesPlaceAllAndComplete(t *testing.T) {
 		completed = make(map[JobID]int)
 	)
 	gap := make(chan struct{}, 64)
-	s.chunkGap = func() {
+	s.Replica(0).chunkGap = func() {
 		select {
 		case gap <- struct{}{}:
 		default:

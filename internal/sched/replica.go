@@ -24,24 +24,20 @@ type platformView struct {
 	degraded  bool
 }
 
-// Replica is one scheduler frontend of a ReplicaSet: it scores waves
+// Replica is one placement frontend of a Scheduler: it scores waves
 // against a private snapshot of the shared SlotStore and commits each
 // placement with an optimistic slot reservation. A version conflict at
 // commit (another replica placed, a completion landed, a health event
 // fired) refreshes the platform's view, re-scores the affected column, and
 // retries selection with bounded backoff, up to MaxCommitRetries before the
-// job is shed with ReasonConflict.
-//
-// With one replica and no concurrent store mutations, placements are
-// bitwise identical to Scheduler.PlaceAll: the snapshot/pre-score/select/
-// dirty-re-score sequence is the same algorithm over the same shared
-// selection helpers, and conflict paths never execute.
+// job is shed with ReasonConflict. With no concurrent store mutations the
+// conflict path never executes.
 //
 // A Replica is safe for concurrent use; concurrent PlaceAll calls on the
 // same replica serialize on its private mutex (use distinct replicas for
 // parallel placement).
 type Replica struct {
-	set *ReplicaSet
+	set *Scheduler
 	idx int
 
 	mu      sync.Mutex
@@ -53,18 +49,31 @@ type Replica struct {
 	conflicts atomic.Uint64
 	shed      atomic.Uint64
 
-	// chunkGap, when non-nil, runs between chunk placements (test hook,
-	// mirroring Scheduler.chunkGap).
+	// chunkGap, when non-nil, runs between chunk placements (test hook:
+	// deterministic mid-wave interleaving).
 	chunkGap func()
 }
 
-// PlaceAll places a wave of jobs in arrival order through this replica,
-// chunked like Scheduler.PlaceAll: each chunk snapshots the replica's
-// shard, pre-scores platform-major in one batched call, and commits
-// per-job reservations against those snapshots.
+// PlaceAll places a wave of jobs in arrival order through this replica.
+// The wave is processed in chunks of Config.WaveChunk jobs, the replica
+// lock released between chunks: a completion arriving mid-wave frees its
+// slot, and the following chunks see the vacancy. With no concurrent
+// events, decisions are identical to the unchunked wave (and to calling
+// Place per job): each chunk snapshots the cluster state its first job
+// would see, and scores are per-query deterministic, so chunk boundaries
+// never change a selection.
+//
+// Within a chunk the batched path pre-scores every job on every platform
+// of the replica's shard in a single predictor call — queries laid out
+// platform-major so each platform's resident set (and therefore its
+// interference term) is folded once, per model — and eagerly re-scores a
+// platform dirtied by a placement for the chunk's remaining jobs in one
+// wide span. Dual-head policies fill both the feasibility and ranking
+// facets from the same pass (one fused call when the predictor supports
+// it).
 func (r *Replica) PlaceAll(jobs []Job) []Assignment {
-	// Same per-site observability guards as Scheduler.PlaceAll: the
-	// disabled path never calls time.Now.
+	// Observability is guarded per-site so the disabled path never calls
+	// time.Now: one predictable branch per chunk, zero allocations.
 	met := r.set.met
 	var waveStart time.Time
 	if met != nil {
@@ -107,9 +116,11 @@ func (r *Replica) Place(job Job) Assignment {
 	return r.PlaceAll([]Job{job})[0]
 }
 
-// refreshView rebuilds platform p's view from the store's current state.
-func (r *Replica) refreshView(p int) {
-	st := r.set.store.load(p)
+// setView rebuilds platform p's view from a published store state: the
+// current one at chunk start, or the one a reservation returned — after a
+// commit that is exactly the resident set the chunk's remaining jobs must
+// be scored against.
+func (r *Replica) setView(p int, st *platformSlots) {
 	r.views[p] = platformView{
 		ver:       st.version,
 		ks:        st.workloads(),
@@ -120,24 +131,84 @@ func (r *Replica) refreshView(p int) {
 	}
 }
 
-// adoptCommit updates platform p's view from the state a successful
-// reservation returned: the committed resident set is exactly what the
-// chunk's remaining jobs must be scored against (the scheduler's
-// residentWorkloadsLocked-after-commit refresh).
-func (r *Replica) adoptCommit(p int, st *platformSlots) {
-	r.views[p] = platformView{
-		ver:       st.version,
-		ks:        st.workloads(),
-		load:      len(st.residents),
-		cap:       st.colocCap(r.set.store.maxColocation),
-		placeable: st.state.Placeable(),
-		degraded:  st.state == Degraded,
+// rejected is the admission-control refusal of job.
+func rejected(job Job) Assignment {
+	return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
+}
+
+// admissionFull reports whether the cluster is at MaxInFlight.
+func (s *Scheduler) admissionFull() bool {
+	return s.store.maxInFlight > 0 && s.store.InFlight() >= s.store.maxInFlight
+}
+
+// commitBest pads the scored candidates, selects the strategy-best
+// feasible one, and reserves its slot. Feasibility is judged on
+// Candidate.Score; the strategy orders by Candidate.Rank. snaps[i] is the
+// resident snapshot cands[i] was scored under; placeable is how many
+// platforms were healthy enough to be considered at all, distinguishing a
+// shrunken healthy set from a full or infeasible one in the unplaced
+// Reason; tries counts the job's earlier conflicts.
+//
+// It returns the job's final assignment and -1, or — when the reservation
+// lost to a newer version of platform p and the retry budget allows
+// another attempt — p, with p's view already refreshed, for the caller to
+// re-score and select again.
+func (r *Replica) commitBest(job Job, cands []Candidate, snaps [][]int, placeable, tries int) (Assignment, int) {
+	set := r.set
+	padDegradedCands(cands, set.degradedPenalty)
+	bi := bestCandidate(set.strategy, job, cands)
+	if bi < 0 {
+		reason := unplacedReason(placeable, len(cands))
+		if set.rec != nil {
+			set.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ParseReason(reason),
+				Platform: -1, Version: set.snapVersion()})
+		}
+		return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: reason}, -1
 	}
+	p := cands[bi].Platform
+	id, st, status := set.store.reserve(p, r.views[p].ver, job)
+	switch status {
+	case reserveOK:
+		r.commits.Add(1)
+		if set.rec != nil {
+			set.rec.Record(obs.Event{Kind: obs.EvPlace, Job: uint64(id), ID: uint64(id),
+				Platform: int32(p), Version: set.snapVersion()})
+		}
+		r.setView(p, st)
+		return Assignment{
+			ID:          id,
+			Job:         job,
+			Platform:    p,
+			Budget:      cands[bi].Score,
+			Interferers: snaps[bi],
+		}, -1
+	case reserveAdmission:
+		return rejected(job), -1
+	}
+	// Conflict: our snapshot of p went stale. Refresh from the state the
+	// store returned so the caller can re-score and retry the selection —
+	// the refreshed view may demote p or crown a different winner.
+	r.conflicts.Add(1)
+	tries++
+	if set.rec != nil {
+		set.rec.Record(obs.Event{Kind: obs.EvConflict, Platform: int32(p),
+			N: int32(tries), Version: set.snapVersion()})
+	}
+	if tries > set.maxRetries {
+		r.shed.Add(1)
+		if set.rec != nil {
+			set.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ReasonConflict,
+				Platform: int32(p), N: int32(tries), Version: set.snapVersion()})
+		}
+		return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: ReasonConflict}, -1
+	}
+	set.backoff(tries)
+	r.setView(p, st)
+	return Assignment{}, p
 }
 
 // placeChunk places one chunk of jobs under the replica mutex, filling
-// out[i] for jobs[i]. The structure mirrors Scheduler.placeWaveLocked with
-// the shard's view snapshots standing in for the locked cluster state.
+// out[i] for jobs[i], against the shard's view snapshots.
 func (r *Replica) placeChunk(jobs []Job, out []Assignment) {
 	set := r.set
 	shard := set.shardFor(r.idx)
@@ -146,7 +217,7 @@ func (r *Replica) placeChunk(jobs []Job, out []Assignment) {
 		r.slotOf = make([]int, set.cfg.NumPlatforms)
 	}
 	for si, p := range shard {
-		r.refreshView(p)
+		r.setView(p, set.store.load(p))
 		r.slotOf[p] = si
 	}
 	if set.bpred == nil {
@@ -162,20 +233,21 @@ func (r *Replica) placeChunk(jobs []Job, out []Assignment) {
 	sc.reserve(nS, nJ)
 
 	// Chunk pre-score against the snapshot state, one batched call, queries
-	// platform-major in ascending platform order (shards are kept sorted) —
-	// the same query sequence the scheduler would issue over this platform
-	// set, so scores are bitwise identical.
+	// platform-major in ascending platform order (shards are kept sorted),
+	// so pre[] maps back to (platform, job) by walking the shard in the same
+	// order. On the memoized path the query build is skipped: columns go
+	// through the dedup + cache machinery in prescoreChunkCached instead.
 	qs := sc.qs[:0]
 	prescored := sc.prescored[:nS]
 	for si, p := range shard {
 		v := &r.views[p]
 		prescored[si] = false
 		if !v.placeable || v.load >= v.cap {
-			continue
+			continue // unavailable or full at chunk start
 		}
 		prescored[si] = true
 		if set.cache != nil {
-			continue // the memoized path builds per-column queries itself
+			continue
 		}
 		for j := range jobs {
 			qs = append(qs, Query{Workload: jobs[j].Workload, Platform: p, Interferers: v.ks})
@@ -220,16 +292,14 @@ func (r *Replica) placeChunk(jobs []Job, out []Assignment) {
 		}
 	}
 
-	cands := sc.cands[:0]
-	snaps := sc.snaps[:0]
 	for j, job := range jobs {
-		if set.store.maxInFlight > 0 && set.store.InFlight() >= set.store.maxInFlight {
-			out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
+		if set.admissionFull() {
+			out[j] = rejected(job)
 			continue
 		}
-		retries := 0
-		for {
-			cands, snaps = cands[:0], snaps[:0]
+		for tries := 0; ; tries++ {
+			cands := sc.cands[:0]
+			snaps := sc.snaps[:0]
 			placeable := 0
 			for si, p := range shard {
 				v := &r.views[p]
@@ -254,62 +324,22 @@ func (r *Replica) placeChunk(jobs []Job, out []Assignment) {
 				cands = append(cands, c)
 				snaps = append(snaps, v.ks)
 			}
-			padDegradedCands(cands, set.degradedPenalty)
-			bi := bestCandidate(set.strategy, job, cands)
-			if bi < 0 {
-				out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: unplacedReason(placeable, len(cands))}
-				break
-			}
-			p := cands[bi].Platform
-			id, st, status := set.store.reserve(p, r.views[p].ver, job)
-			if status == reserveOK {
-				r.commits.Add(1)
-				if set.rec != nil {
-					set.rec.Record(obs.Event{Kind: obs.EvPlace, Job: uint64(id), ID: uint64(id),
-						Platform: int32(p), Version: set.snapVersion()})
-				}
-				out[j] = Assignment{
-					ID:          id,
-					Job:         job,
-					Platform:    p,
-					Budget:      cands[bi].Score,
-					Interferers: snaps[bi],
-				}
-				r.adoptCommit(p, st)
-				if j+1 < nJ && r.views[p].load < r.views[p].cap {
+			a, stale := r.commitBest(job, cands, snaps, placeable, tries)
+			if stale < 0 {
+				out[j] = a
+				// Re-score the just-dirtied platform for the chunk's
+				// remaining jobs: one span, one interference fold over its
+				// updated residents (per model). A platform full now is
+				// excluded from the remaining jobs by the cap check.
+				if p := a.Platform; p >= 0 && j+1 < nJ && r.views[p].load < r.views[p].cap {
 					r.rescoreColumn(p, jobs, j+1, scoreAt, rankAt)
 				}
 				break
 			}
-			if status == reserveAdmission {
-				out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
-				break
-			}
-			// Conflict: our snapshot of p went stale. Refresh from the state
-			// the store returned, re-score p's remaining column, and retry
-			// the selection — the refreshed view may demote p or crown a
-			// different winner.
-			r.conflicts.Add(1)
-			retries++
-			if set.rec != nil {
-				set.rec.Record(obs.Event{Kind: obs.EvConflict, Platform: int32(p),
-					N: int32(retries), Version: set.snapVersion()})
-			}
-			if retries > set.maxRetries {
-				r.shed.Add(1)
-				if set.rec != nil {
-					set.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ReasonConflict,
-						Platform: int32(p), N: int32(retries), Version: set.snapVersion()})
-				}
-				out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: ReasonConflict}
-				break
-			}
-			set.backoff(retries)
-			r.adoptCommit(p, st)
-			if r.views[p].placeable && r.views[p].load < r.views[p].cap {
-				r.rescoreColumn(p, jobs, j, scoreAt, rankAt)
+			if v := &r.views[stale]; v.placeable && v.load < v.cap {
+				r.rescoreColumn(stale, jobs, j, scoreAt, rankAt)
 			} else {
-				si := r.slotOf[p]
+				si := r.slotOf[stale]
 				for jj := j; jj < nJ; jj++ {
 					scoreAt[si*nJ+jj] = math.NaN()
 				}
@@ -318,13 +348,17 @@ func (r *Replica) placeChunk(jobs []Job, out []Assignment) {
 	}
 }
 
-// prescoreChunkCached is placeChunk's memoized pre-score, mirroring
-// Scheduler.prescoreCachedLocked over the shard's view snapshots: the
-// chunk's jobs dedup to distinct workloads once, then each prescored
-// platform's column is served through the shared cross-wave cache keyed on
-// the view's SlotStore version — the same versions the optimistic commit
-// protocol already validates at reserve time, so a cached column is
-// provably the one this view would have scored.
+// prescoreChunkCached is placeChunk's memoized pre-score: the chunk's jobs
+// are deduped to distinct workloads once (level 1), then each prescored
+// platform's distinct column is served through the shared cross-wave
+// cache (level 2) keyed on the view's SlotStore version — the same
+// versions the optimistic commit protocol validates at reserve time, so a
+// cached column is provably the one this view would have scored. Misses
+// from every column are scored in ONE batched policy call — matching the
+// uncached path's single-batch efficiency — then scattered back and stored
+// per column. The scoring epoch is captured once for the chunk, so a
+// concurrent Observe publish mid-chunk narrows — never widens — the window
+// of mixed-snapshot scores the uncached path already tolerates.
 func (r *Replica) prescoreChunkCached(jobs []Job, shard []int, prescored []bool, scoreAt, rankAt []float64, dual bool) {
 	set := r.set
 	nJ := len(jobs)
@@ -386,8 +420,9 @@ func (r *Replica) prescoreChunkCached(jobs []Job, shard []int, prescored []bool,
 		for i, at := range missAt {
 			sc.colFeas[at], sc.colRank[at] = missFeas[i], missRank[i]
 		}
-		// One whole-column store per refreshed column; already-cached
-		// entries are skipped by the insert guard.
+		// Store each refreshed column back whole; entries that were hits
+		// already exist under the same key and are skipped by the insert
+		// guard, so this is one pass per column, not per miss.
 		prev := -1
 		for i, at := range missAt {
 			si := at / nD
@@ -396,8 +431,8 @@ func (r *Replica) prescoreChunkCached(jobs []Job, shard []int, prescored []bool,
 			}
 			prev = si
 			base := si * nD
-			s := set.cache
-			s.store(qs[i].Platform, r.views[qs[i].Platform].ver, epoch, distinct,
+			p := qs[i].Platform
+			set.cache.store(p, r.views[p].ver, epoch, distinct,
 				sc.colFeas[base:base+nD], sc.colRank[base:base+nD])
 		}
 	}
@@ -422,10 +457,10 @@ func (r *Replica) prescoreChunkCached(jobs []Job, shard []int, prescored []bool,
 
 // rescoreColumn re-scores platform p for jobs[from:] against the view's
 // refreshed residents in one batched span, updating the chunk's score
-// table — the scheduler's dirty-platform re-score. On the memoized path
-// the column goes through the cache under the view's refreshed version:
-// after a conflict refresh the column another replica just scored (and
-// cached) for the same state is served without touching the predictor.
+// table. On the memoized path the column goes through the cache under the
+// view's refreshed version: after a conflict refresh the column another
+// replica just scored (and cached) for the same state is served without
+// touching the predictor.
 func (r *Replica) rescoreColumn(p int, jobs []Job, from int, scoreAt, rankAt []float64) {
 	set := r.set
 	dual := set.dpolicy != nil
@@ -470,17 +505,16 @@ func (r *Replica) rescoreColumn(p int, jobs []Job, from int, scoreAt, rankAt []f
 }
 
 // placeOne is the scalar-scoring arm (no BatchPredictor, or batching
-// disabled), mirroring Scheduler.placeLocked per job with the reserve loop
-// on top. Each retry re-scores the refreshed candidate set in full.
+// disabled): each attempt scores the candidate set one Policy call per
+// platform, and each conflict retry re-scores the refreshed set in full.
 func (r *Replica) placeOne(job Job, shard []int) Assignment {
 	set := r.set
-	if set.store.maxInFlight > 0 && set.store.InFlight() >= set.store.maxInFlight {
-		return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
+	if set.admissionFull() {
+		return rejected(job)
 	}
 	sc := &r.scratch
 	sc.reserve(len(shard), 1)
-	retries := 0
-	for {
+	for tries := 0; ; tries++ {
 		cands := sc.cands[:0]
 		snaps := sc.snaps[:0]
 		placeable := 0
@@ -506,61 +540,23 @@ func (r *Replica) placeOne(job Job, shard []int) Assignment {
 				cands[i].Score, cands[i].Rank = v, v
 			}
 		}
-		padDegradedCands(cands, set.degradedPenalty)
-		bi := bestCandidate(set.strategy, job, cands)
-		if bi < 0 {
-			return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: unplacedReason(placeable, len(cands))}
+		if a, stale := r.commitBest(job, cands, snaps, placeable, tries); stale < 0 {
+			return a
 		}
-		p := cands[bi].Platform
-		id, st, status := set.store.reserve(p, r.views[p].ver, job)
-		switch status {
-		case reserveOK:
-			r.commits.Add(1)
-			if set.rec != nil {
-				set.rec.Record(obs.Event{Kind: obs.EvPlace, Job: uint64(id), ID: uint64(id),
-					Platform: int32(p), Version: set.snapVersion()})
-			}
-			r.adoptCommit(p, st)
-			return Assignment{
-				ID:          id,
-				Job:         job,
-				Platform:    p,
-				Budget:      cands[bi].Score,
-				Interferers: snaps[bi],
-			}
-		case reserveAdmission:
-			return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
-		}
-		r.conflicts.Add(1)
-		retries++
-		if set.rec != nil {
-			set.rec.Record(obs.Event{Kind: obs.EvConflict, Platform: int32(p),
-				N: int32(retries), Version: set.snapVersion()})
-		}
-		if retries > set.maxRetries {
-			r.shed.Add(1)
-			if set.rec != nil {
-				set.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ReasonConflict,
-					Platform: int32(p), N: int32(retries), Version: set.snapVersion()})
-			}
-			return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: ReasonConflict}
-		}
-		set.backoff(retries)
-		r.adoptCommit(p, st)
 	}
 }
 
 // backoff spaces the k-th consecutive reserve retry: yield-only when no
 // base delay is configured, capped exponential otherwise. Bounded by
 // design — the caller sheds the job after MaxCommitRetries.
-func (rs *ReplicaSet) backoff(k int) {
-	if rs.commitBackoff <= 0 {
+func (s *Scheduler) backoff(k int) {
+	if s.commitBackoff <= 0 {
 		runtime.Gosched()
 		return
 	}
-	d := rs.commitBackoff << uint(k-1)
-	if d > rs.commitBackoffMax || d <= 0 {
-		d = rs.commitBackoffMax
+	d := s.commitBackoff << uint(k-1)
+	if d > s.commitBackoffMax || d <= 0 {
+		d = s.commitBackoffMax
 	}
 	time.Sleep(d)
 }

@@ -7,140 +7,13 @@ import (
 	"testing"
 )
 
-func mustNewReplicaSet(t *testing.T, cfg Config, rc ReplicaConfig, pol Policy, pred Predictor) *ReplicaSet {
+func mustNewReplicated(t *testing.T, cfg Config, rc ReplicaConfig, pol Policy, pred Predictor) *Scheduler {
 	t.Helper()
-	rs, err := NewReplicaSet(cfg, rc, pol, pred)
+	rs, err := NewReplicated(cfg, rc, pol, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rs
-}
-
-// The PR 8 decision-identity pin: a 1-replica ReplicaSet over the shared
-// slot store is bitwise decision-identical to the plain Scheduler — same
-// platforms, budgets, job IDs, rejection reasons, health transitions, and
-// Complete errors — across fused, batch, and scalar scoring, random waves,
-// completions, and the whole failure lifecycle. The commit protocol must
-// provably add no behavior at N=1.
-func TestReplicaIdentitySingleReplica(t *testing.T) {
-	policies := []Policy{MeanPolicy{}, BoundPolicy{Eps: 0.1}, MeanBoundPolicy{Eps: 0.1}, PaddedBoundPolicy{Eps: 0.2, Factor: 1.3}}
-	strategies := []Strategy{LeastLoaded{}, BestFit{}, UtilizationAware{}}
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(800 + seed))
-		nP := 3 + rng.Intn(6)
-		base := make([]float64, nP)
-		for i := range base {
-			base[i] = 0.5 + 2*rng.Float64()
-		}
-		pol := policies[rng.Intn(len(policies))]
-		strat := strategies[rng.Intn(len(strategies))]
-		cfg := Config{
-			NumPlatforms:  nP,
-			MaxColocation: 1 + rng.Intn(3),
-			MaxInFlight:   4 + rng.Intn(10),
-			WaveChunk:     []int{0, 1, 2, 3, -1}[rng.Intn(5)],
-			Strategy:      strat,
-			Breaker:       BreakerConfig{Threshold: 0.5, Window: 4, Probation: 2},
-		}
-		scalar := rng.Float64() < 0.33
-		cfg.DisableBatch = scalar
-		var sPred, rPred Predictor
-		if rng.Float64() < 0.5 {
-			sPred = &fusedFake{batchPred: &batchPred{Predictor: variedPred{base}}}
-			rPred = &fusedFake{batchPred: &batchPred{Predictor: variedPred{base}}}
-		} else {
-			sPred = &batchPred{Predictor: variedPred{base}}
-			rPred = &batchPred{Predictor: variedPred{base}}
-		}
-		s := mustNew(t, cfg, pol, sPred)
-		rs := mustNewReplicaSet(t, cfg, ReplicaConfig{Replicas: 1, Shards: 1}, pol, rPred)
-		if s.Batched() != rs.Batched() || s.Fused() != rs.Fused() {
-			t.Fatalf("seed %d: scoring-path wiring differs: scheduler batched=%v fused=%v, replica batched=%v fused=%v",
-				seed, s.Batched(), s.Fused(), rs.Batched(), rs.Fused())
-		}
-		var live []JobID
-		for i := 0; i < 70; i++ {
-			switch op := rng.Float64(); {
-			case len(live) > 0 && op < 0.25:
-				id := live[rng.Intn(len(live))]
-				miss := rng.Float64() < 0.4
-				tS, errS := s.CompleteOutcome(id, miss)
-				tR, errR := rs.CompleteOutcome(id, miss)
-				if (errS == nil) != (errR == nil) || tS != tR {
-					t.Fatalf("seed %d: CompleteOutcome(%d) disagreement: (%v,%v) vs (%v,%v)", seed, id, tS, errS, tR, errR)
-				}
-				if errS == nil {
-					for j, l := range live {
-						if l == id {
-							live = append(live[:j], live[j+1:]...)
-							break
-						}
-					}
-				}
-			case op < 0.32:
-				p := rng.Intn(nP)
-				oS, errS := s.Fail(p)
-				oR, errR := rs.Fail(p)
-				if (errS == nil) != (errR == nil) || len(oS) != len(oR) {
-					t.Fatalf("seed %d: Fail(%d) disagreement: %v/%v vs %v/%v", seed, p, oS, errS, oR, errR)
-				}
-				for j := range oS {
-					if oS[j] != oR[j] {
-						t.Fatalf("seed %d: Fail(%d) orphan %d differs: %+v vs %+v", seed, p, j, oS[j], oR[j])
-					}
-					for k, l := range live {
-						if l == oS[j].ID {
-							live = append(live[:k], live[k+1:]...)
-							break
-						}
-					}
-				}
-			case op < 0.38:
-				p := rng.Intn(nP)
-				errS, errR := s.Degrade(p), rs.Degrade(p)
-				if (errS == nil) != (errR == nil) {
-					t.Fatalf("seed %d: Degrade(%d): %v vs %v", seed, p, errS, errR)
-				}
-			case op < 0.46:
-				p := rng.Intn(nP)
-				errS, errR := s.Recover(p), rs.Recover(p)
-				if (errS == nil) != (errR == nil) {
-					t.Fatalf("seed %d: Recover(%d): %v vs %v", seed, p, errS, errR)
-				}
-			default:
-				n := 1 + rng.Intn(6)
-				jobs := make([]Job, n)
-				for j := range jobs {
-					jobs[j] = Job{Workload: rng.Intn(20), Deadline: 0.3 + 6*rng.Float64()}
-				}
-				wS, wR := s.PlaceAll(jobs), rs.PlaceAll(jobs)
-				for j := range jobs {
-					if !sameAssignment(wS[j], wR[j]) || wS[j].Reason != wR[j].Reason {
-						t.Fatalf("seed %d wave job %d: scheduler %+v vs replica %+v (policy %s, strategy %s, chunk %d, scalar %v)",
-							seed, j, wS[j], wR[j], pol.Name(), strat.Name(), cfg.WaveChunk, scalar)
-					}
-					if wS[j].Placed() {
-						live = append(live, wS[j].ID)
-					}
-				}
-			}
-			if gotS, gotR := s.InFlight(), rs.InFlight(); gotS != gotR {
-				t.Fatalf("seed %d step %d: InFlight %d vs %d", seed, i, gotS, gotR)
-			}
-		}
-		hS, hR := s.HealthSnapshot(), rs.HealthSnapshot()
-		for p := range hS {
-			if hS[p] != hR[p] {
-				t.Fatalf("seed %d: health of platform %d: %s vs %s", seed, p, hS[p], hR[p])
-			}
-		}
-		if fS, fR := s.FailureStats(), rs.FailureStats(); fS != fR {
-			t.Fatalf("seed %d: failure stats differ: %+v vs %+v", seed, fS, fR)
-		}
-		if cs := rs.ConflictStats(); cs.Conflicts != 0 || cs.Shed != 0 {
-			t.Fatalf("seed %d: single uncontended replica saw conflicts: %+v", seed, cs)
-		}
-	}
 }
 
 // Conflict-retry conservation under the race detector: concurrent replicas
@@ -161,7 +34,7 @@ func TestReplicaConservationConcurrent(t *testing.T) {
 	for i := range base {
 		base[i] = 0.5 + 0.3*float64(i)
 	}
-	rs := mustNewReplicaSet(t,
+	rs := mustNewReplicated(t,
 		Config{NumPlatforms: nP, MaxColocation: coloc, WaveChunk: 2},
 		ReplicaConfig{Replicas: replicas, Shards: 1, MaxCommitRetries: 4},
 		BoundPolicy{Eps: 0.1},
@@ -296,7 +169,7 @@ func TestReplicaConservationConcurrent(t *testing.T) {
 // succeed on retry.
 func TestReplicaConflictRetryDeterministic(t *testing.T) {
 	base := []float64{1, 2, 3}
-	rs := mustNewReplicaSet(t,
+	rs := mustNewReplicated(t,
 		Config{NumPlatforms: 3, MaxColocation: 4},
 		ReplicaConfig{Replicas: 1, Shards: 1},
 		MeanPolicy{},
@@ -331,7 +204,7 @@ func TestReplicaConflictRetryDeterministic(t *testing.T) {
 // arrival accounting intact.
 func TestReplicaConflictShed(t *testing.T) {
 	base := []float64{1, 2}
-	rs := mustNewReplicaSet(t,
+	rs := mustNewReplicated(t,
 		Config{NumPlatforms: 2, MaxColocation: 2},
 		ReplicaConfig{Replicas: 1, Shards: 1, MaxCommitRetries: 3},
 		MeanPolicy{},
@@ -365,7 +238,7 @@ func TestReplicaRebalance(t *testing.T) {
 	for i := range base {
 		base[i] = 1 + float64(i)
 	}
-	rs := mustNewReplicaSet(t,
+	rs := mustNewReplicated(t,
 		Config{NumPlatforms: 8, MaxColocation: 4},
 		ReplicaConfig{Replicas: 2, Shards: 2},
 		MeanPolicy{},
@@ -467,7 +340,7 @@ func TestReplicaSharding(t *testing.T) {
 	for i := range base {
 		base[i] = 1 + float64(i)
 	}
-	rs := mustNewReplicaSet(t,
+	rs := mustNewReplicated(t,
 		Config{NumPlatforms: 6, MaxColocation: 4},
 		ReplicaConfig{Replicas: 2}, // Shards 0 = one shard per replica
 		MeanPolicy{},

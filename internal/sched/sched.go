@@ -5,10 +5,12 @@
 // The engine is event-driven: jobs arrive (Place) and complete (Complete),
 // so a platform's resident set — and therefore the interference every
 // candidate placement must account for — changes over time. A Scheduler
-// scores all candidate platforms for a job in one batched predictor call
-// when the predictor supports it (BatchPredictor; the Pitot facade does),
-// selects among feasible platforms with a pluggable Strategy, and bounds
-// admission so a saturated cluster fails fast instead of queueing
+// keeps that state in a SlotStore of versioned per-platform snapshots and
+// places through one or more replicas that commit optimistically against
+// it. It scores all candidate platforms for a job in one batched predictor
+// call when the predictor supports it (BatchPredictor; the Pitot facade
+// does), selects among feasible platforms with a pluggable Strategy, and
+// bounds admission so a saturated cluster fails fast instead of queueing
 // placements it cannot serve.
 //
 // Measured runtimes flow back through Observer: a simulator or live
@@ -144,9 +146,9 @@ type Assignment struct {
 	// Budget is the predicted value the decision was based on.
 	Budget float64
 	// Interferers are the workloads co-resident on the chosen platform at
-	// placement time — the interference this job was scored under (a copy;
-	// safe to retain). They are also what a Measurement of this execution
-	// should report.
+	// placement time — the interference this job was scored under (a
+	// snapshot no live scheduler state reads; safe to retain). They are
+	// also what a Measurement of this execution should report.
 	Interferers []int
 	// Rejected marks an admission-control refusal (cluster at MaxInFlight),
 	// as opposed to an infeasible job no platform can serve in time.
@@ -173,14 +175,12 @@ type Config struct {
 	// Strategy selects among feasible platforms; nil means LeastLoaded.
 	Strategy Strategy
 	// WaveChunk bounds how many jobs of a PlaceAll wave are placed per
-	// scheduler-lock hold: the lock is released between chunks, so
-	// concurrent Place/Complete calls interleave mid-wave and a Complete
-	// waits at most one chunk — not the whole wave — behind a long
-	// placement burst. Each chunk pre-scores against the then-current
-	// cluster state, so with no concurrent events chunked placement is
+	// replica-lock hold: each chunk snapshots the cluster state afresh, so
+	// completions and failure events landing mid-wave are seen by the next
+	// chunk, and a competing wave on the same replica waits at most one
+	// chunk. With no concurrent events chunked placement is
 	// decision-identical to an unchunked wave. 0 means the default (64);
-	// negative places the whole wave under one lock hold (the PR 3
-	// behavior).
+	// negative places the whole wave in one chunk.
 	WaveChunk int
 	// DisableBatch forces scalar scoring even when both the policy and the
 	// predictor support batching — the reference path batch scoring must

@@ -3,7 +3,9 @@ package sched
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -17,14 +19,82 @@ type placedJob struct {
 	job Job
 }
 
+// ReplicaConfig tunes a Scheduler's replication: how many scheduler
+// replicas share the slot store, how platforms shard across them, and the
+// optimistic commit protocol's retry budget.
+type ReplicaConfig struct {
+	// Replicas is the number of scheduler frontends (default 1).
+	Replicas int
+	// Shards partitions the platforms: replica i places into shard
+	// i % Shards. 0 shards one partition per replica (disjoint platform
+	// sets, minimal commit contention); 1 is a single shared pool (every
+	// replica sees every platform, conflicts resolved optimistically);
+	// values above the replica or platform count are clamped, so no
+	// platform sits in a shard no replica places into.
+	Shards int
+	// MaxCommitRetries bounds consecutive reserve conflicts per job before
+	// it is shed with ReasonConflict (default 8).
+	MaxCommitRetries int
+	// CommitBackoff is the base delay between reserve retries, doubled per
+	// consecutive conflict up to CommitBackoffMax (default 1ms when a base
+	// is set). 0 yields the processor instead of sleeping.
+	CommitBackoff    time.Duration
+	CommitBackoffMax time.Duration
+	// RebalanceEvery checks shard balance every N placed chunks and
+	// rebalances when the hottest shard's resident load exceeds
+	// RebalanceSkew times the mean (default skew 1.5). 0 disables
+	// automatic rebalancing; Rebalance can still be called directly.
+	RebalanceEvery int
+	RebalanceSkew  float64
+}
+
+// shardMap is an immutable platform partition: shards[i] is a sorted
+// platform list. Replicas read it at chunk start, so a rebalance takes
+// effect at the next chunk boundary; transiently overlapping placements
+// during the handoff are resolved by the commit protocol like any other
+// conflict.
+type shardMap struct {
+	shards [][]int
+}
+
+// ConflictStats counts the optimistic commit protocol's outcomes across a
+// Scheduler's lifetime.
+type ConflictStats struct {
+	// Attempts is the number of slot reservations tried; Conflicts how
+	// many were refused because the scored snapshot had gone stale (the
+	// conflict-retry rate is Conflicts/Attempts).
+	Attempts  uint64
+	Conflicts uint64
+	// Shed counts jobs unplaced with ReasonConflict after exhausting
+	// MaxCommitRetries.
+	Shed uint64
+	// Rebalances counts shard-map rewrites (skew-triggered or explicit).
+	Rebalances uint64
+}
+
+// ReplicaStats is one replica's share of the commit traffic.
+type ReplicaStats struct {
+	Commits   uint64
+	Conflicts uint64
+	Shed      uint64
+}
+
 // Scheduler assigns jobs to platforms with a policy and tracks the live
 // cluster state: placements occupy colocation slots until Complete frees
-// them. Safe for concurrent use — Place, PlaceAll, Complete, and the
-// accessors may be called from any number of goroutines; the cluster state
-// is guarded by one mutex while predictor reads stay lock-free inside the
-// predictor itself. PlaceAll holds the mutex only one chunk of jobs at a
-// time (Config.WaveChunk), so completions and competing placements
-// interleave mid-wave instead of stalling behind a long wave.
+// them. The cluster state lives in a SlotStore of versioned, immutable
+// per-platform snapshots; one or more replicas (ReplicaConfig.Replicas)
+// score waves against their own snapshot of it and commit each placement
+// with a compare-and-swap slot reservation, so placement needs no global
+// lock. Platforms are sharded across replicas (ReplicaConfig.Shards);
+// shards that run hot are rebalanced by resident load.
+//
+// Safe for concurrent use: Place, PlaceAll, Complete, the failure events,
+// and the accessors may be called from any number of goroutines. PlaceAll
+// routes each wave to a replica round-robin; drivers that own their
+// parallelism (one goroutine per frontend) should take Replica handles and
+// call PlaceAll on them directly. With one replica (New) the commit
+// protocol never conflicts, and placement is a pure function of the event
+// sequence.
 type Scheduler struct {
 	cfg      Config
 	policy   Policy
@@ -41,31 +111,25 @@ type Scheduler struct {
 	bpolicy BatchPolicy
 	dpolicy DualPolicy
 
-	// chunk is the resolved Config.WaveChunk: max jobs placed per lock
-	// hold in PlaceAll.
-	chunk int
+	// chunk is the resolved Config.WaveChunk: max jobs placed per replica
+	// lock hold in PlaceAll. degradedPenalty is the resolved
+	// Config.DegradedPenalty (≥ 1).
+	chunk            int
+	degradedPenalty  float64
+	maxRetries       int
+	commitBackoff    time.Duration
+	commitBackoffMax time.Duration
+	rebalanceEvery   int
+	rebalanceSkew    float64
 
-	// degradedPenalty multiplies the feasibility score of candidates on
-	// Degraded platforms (resolved Config.DegradedPenalty, ≥ 1); breaker is
-	// the resolved circuit-breaker tuning.
-	degradedPenalty float64
-	breaker         BreakerConfig
+	store    *SlotStore
+	replicas []*Replica
+	shards   atomic.Pointer[shardMap]
 
-	mu         sync.Mutex
-	residents  [][]placedJob
-	platformOf map[JobID]int
-	nextID     JobID
-	healths    []platformHealth
-	stats      FailureStats
-
-	// scratch is the wave path's reusable working set (guarded by mu):
-	// steady-state PlaceAll waves allocate only resident snapshots and the
-	// returned assignments.
-	scratch waveScratch
-
-	// chunkGap, when non-nil, runs between chunk lock holds of PlaceAll
-	// (test hook: deterministic mid-wave interleaving).
-	chunkGap func()
+	router     atomic.Uint64
+	chunkCount atomic.Uint64
+	rebalances atomic.Uint64
+	rebalanceM sync.Mutex
 
 	// met/rec are the optional observability hooks (Config.Metrics /
 	// Config.Recorder); both nil-safe, both off the decision path. ver
@@ -75,16 +139,12 @@ type Scheduler struct {
 	rec *obs.Recorder
 	ver func() uint64
 
-	// cache is the cross-wave score cache (Config.ScoreCache); nil when
-	// disabled. slotVers mirrors SlotStore's per-platform versions for the
-	// locked scheduler: a per-platform counter bumped (under mu) by every
-	// resident-set or health mutation, so a cached column keyed to it is
-	// provably computed against the current interference state. epochFn
-	// reads the predictor's scoring epoch (snapshot version + fast-scoring
-	// mode); a change invalidates every column at once.
-	cache    *ScoreCache
-	slotVers []uint64
-	epochFn  func() uint64
+	// cache is the cross-wave score cache shared by every replica
+	// (Config.ScoreCache); nil when disabled. Columns key on SlotStore
+	// versions, so one replica's fresh scoring serves another replica's
+	// identical view. epochFn reads the predictor's scoring epoch.
+	cache   *ScoreCache
+	epochFn func() uint64
 }
 
 // snapshotVersioner is the optional predictor facet exposing a snapshot
@@ -92,18 +152,9 @@ type Scheduler struct {
 // decision to the model state that made it.
 type snapshotVersioner interface{ Version() uint64 }
 
-// snapVersion returns the predictor's current snapshot version, or 0 when
-// the predictor does not expose one. Only called on recording paths.
-func (s *Scheduler) snapVersion() uint64 {
-	if s.ver == nil {
-		return 0
-	}
-	return s.ver()
-}
-
 // defaultWaveChunk bounds a PlaceAll lock hold when Config.WaveChunk is 0:
 // large enough to amortize the wave pre-score, small enough that a
-// concurrent Complete waits microseconds, not a whole 256-job wave.
+// concurrent event waits microseconds, not a whole 256-job wave.
 const defaultWaveChunk = 64
 
 // defaultDegradedPenalty inflates the feasibility score on Degraded
@@ -111,7 +162,7 @@ const defaultWaveChunk = 64
 // clear the deadline with 25% headroom to win a placement.
 const defaultDegradedPenalty = 1.25
 
-// waveScratch holds PlaceAll's per-wave buffers for reuse across waves.
+// waveScratch holds PlaceAll's per-chunk buffers for reuse across waves.
 // The *Rank twins carry the ranking facet of dual policies; they are left
 // untouched on the single-head path.
 type waveScratch struct {
@@ -120,7 +171,6 @@ type waveScratch struct {
 	preRank     []float64
 	scoreAt     []float64
 	rankAt      []float64
-	snap        [][]int
 	prescored   []bool
 	cands       []Candidate
 	snaps       [][]int
@@ -153,8 +203,7 @@ func (sc *waveScratch) reserve(nP, nJ int) {
 		sc.scoreAt = make([]float64, nP*nJ)
 		sc.rankAt = make([]float64, nP*nJ)
 	}
-	if cap(sc.snap) < nP {
-		sc.snap = make([][]int, nP)
+	if cap(sc.prescored) < nP {
 		sc.prescored = make([]bool, nP)
 		sc.cands = make([]Candidate, 0, nP)
 		sc.snaps = make([][]int, 0, nP)
@@ -185,23 +234,34 @@ func (sc *waveScratch) reserveCache(nP, nJ int) {
 	sc.colQ = make([]Query, 0, nP*nJ)
 }
 
-// New creates a scheduler. The batch scoring path engages automatically
-// when pred implements BatchPredictor and policy implements BatchPolicy
-// (all built-in policies do), unless cfg.DisableBatch is set; dual-head
+// New creates a single-replica scheduler over one shared pool of
+// platforms. The batch scoring path engages automatically when pred
+// implements BatchPredictor and policy implements BatchPolicy (all
+// built-in policies do), unless cfg.DisableBatch is set; dual-head
 // policies (DualPolicy) additionally score through one fused pass when the
 // predictor implements FusedPredictor.
 func New(cfg Config, policy Policy, pred Predictor) (*Scheduler, error) {
-	if cfg.NumPlatforms <= 0 {
-		return nil, fmt.Errorf("sched: no platforms")
+	return NewReplicated(cfg, ReplicaConfig{Replicas: 1, Shards: 1}, policy, pred)
+}
+
+// NewReplicated builds a scheduler with rc.Replicas frontends over one
+// shared slot store. cfg carries the cluster shape and scoring
+// configuration exactly as for New.
+func NewReplicated(cfg Config, rc ReplicaConfig, policy Policy, pred Predictor) (*Scheduler, error) {
+	if rc.Replicas == 0 {
+		rc.Replicas = 1
+	}
+	if rc.Replicas < 0 {
+		return nil, fmt.Errorf("sched: negative Replicas")
+	}
+	if rc.Shards < 0 {
+		return nil, fmt.Errorf("sched: negative Shards")
 	}
 	if cfg.MaxColocation <= 0 {
 		cfg.MaxColocation = 4
 	}
 	if cfg.Strategy == nil {
 		cfg.Strategy = LeastLoaded{}
-	}
-	if cfg.MaxInFlight < 0 {
-		return nil, fmt.Errorf("sched: negative MaxInFlight")
 	}
 	chunk := cfg.WaveChunk
 	if chunk == 0 {
@@ -214,19 +274,40 @@ func New(cfg Config, policy Policy, pred Predictor) (*Scheduler, error) {
 	if penalty < 1 {
 		return nil, fmt.Errorf("sched: DegradedPenalty %v < 1", penalty)
 	}
+	if cfg.ScoreCacheCap < 0 {
+		return nil, fmt.Errorf("sched: negative ScoreCacheCap")
+	}
+	if rc.MaxCommitRetries <= 0 {
+		rc.MaxCommitRetries = 8
+	}
+	if rc.CommitBackoff > 0 && rc.CommitBackoffMax <= 0 {
+		rc.CommitBackoffMax = time.Millisecond
+	}
+	if rc.CommitBackoffMax < rc.CommitBackoff {
+		rc.CommitBackoffMax = rc.CommitBackoff
+	}
+	if rc.RebalanceSkew <= 1 {
+		rc.RebalanceSkew = 1.5
+	}
+	store, err := NewSlotStore(cfg)
+	if err != nil {
+		return nil, err
+	}
 	s := &Scheduler{
-		cfg:             cfg,
-		policy:          policy,
-		strategy:        cfg.Strategy,
-		pred:            pred,
-		chunk:           chunk,
-		degradedPenalty: penalty,
-		breaker:         cfg.Breaker.withDefaults(),
-		residents:       make([][]placedJob, cfg.NumPlatforms),
-		platformOf:      make(map[JobID]int),
-		healths:         make([]platformHealth, cfg.NumPlatforms),
-		met:             cfg.Metrics,
-		rec:             cfg.Recorder,
+		cfg:              cfg,
+		policy:           policy,
+		strategy:         cfg.Strategy,
+		pred:             pred,
+		chunk:            chunk,
+		degradedPenalty:  penalty,
+		maxRetries:       rc.MaxCommitRetries,
+		commitBackoff:    rc.CommitBackoff,
+		commitBackoffMax: rc.CommitBackoffMax,
+		rebalanceEvery:   rc.RebalanceEvery,
+		rebalanceSkew:    rc.RebalanceSkew,
+		store:            store,
+		met:              cfg.Metrics,
+		rec:              cfg.Recorder,
 	}
 	if v, ok := pred.(snapshotVersioner); ok {
 		s.ver = v.Version
@@ -241,17 +322,38 @@ func New(cfg Config, policy Policy, pred Predictor) (*Scheduler, error) {
 			s.bpred, s.bpolicy = bp, bpol
 		}
 	}
-	if cfg.ScoreCacheCap < 0 {
-		return nil, fmt.Errorf("sched: negative ScoreCacheCap")
-	}
 	// The score cache memoizes the batched wave path; the scalar arm has
 	// no wave scoring to reuse, so ScoreCache is a no-op there.
 	if cfg.ScoreCache && s.bpred != nil {
 		s.cache = newScoreCache(cfg.NumPlatforms, cfg.ScoreCacheCap)
-		s.slotVers = make([]uint64, cfg.NumPlatforms)
 		s.epochFn = resolveEpochFn(pred)
 	}
+	nShards := rc.Shards
+	if nShards == 0 || nShards > rc.Replicas {
+		nShards = rc.Replicas
+	}
+	if nShards > cfg.NumPlatforms {
+		nShards = cfg.NumPlatforms
+	}
+	shards := make([][]int, nShards)
+	for p := 0; p < cfg.NumPlatforms; p++ {
+		shards[p%nShards] = append(shards[p%nShards], p)
+	}
+	s.shards.Store(&shardMap{shards: shards})
+	s.replicas = make([]*Replica, rc.Replicas)
+	for i := range s.replicas {
+		s.replicas[i] = &Replica{set: s, idx: i}
+	}
 	return s, nil
+}
+
+// snapVersion returns the predictor's current snapshot version, or 0 when
+// the predictor does not expose one. Only called on recording paths.
+func (s *Scheduler) snapVersion() uint64 {
+	if s.ver == nil {
+		return 0
+	}
+	return s.ver()
 }
 
 // epoch returns the predictor's current scoring epoch, or 0 for
@@ -263,23 +365,13 @@ func (s *Scheduler) epoch() uint64 {
 	return s.epochFn()
 }
 
-// ScoreCacheStats returns the score cache's counters and whether the
-// cache is enabled on this scheduler.
+// ScoreCacheStats returns the shared score cache's counters and whether
+// the cache is enabled on this scheduler.
 func (s *Scheduler) ScoreCacheStats() (ScoreCacheStats, bool) {
 	if s.cache == nil {
 		return ScoreCacheStats{}, false
 	}
 	return s.cache.Stats(), true
-}
-
-// bumpSlotLocked advances platform p's mutation counter; every
-// resident-set or effective-capacity change must pass through here so
-// cached score columns keyed to the old version can never be served
-// against the new state.
-func (s *Scheduler) bumpSlotLocked(p int) {
-	if s.slotVers != nil {
-		s.slotVers[p]++
-	}
 }
 
 // Batched reports whether placements score candidates through the batched
@@ -296,125 +388,199 @@ func (s *Scheduler) Fused() bool {
 	return ok
 }
 
-// Residents returns a copy of the workloads currently placed on platform
-// p; mutating it never affects scheduler state.
-func (s *Scheduler) Residents(p int) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.residentWorkloadsLocked(p)
-}
-
-// InFlight returns the number of placed jobs that have not completed.
-func (s *Scheduler) InFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.platformOf)
-}
-
-// residentWorkloadsLocked builds a fresh workload-index snapshot of
-// platform p. Callers may hand it to policies or return it to callers;
-// it never aliases internal state.
-func (s *Scheduler) residentWorkloadsLocked(p int) []int {
-	rs := s.residents[p]
-	if len(rs) == 0 {
-		return nil
-	}
-	ks := make([]int, len(rs))
-	for i, r := range rs {
-		ks[i] = r.job.Workload
-	}
-	return ks
-}
-
 // Place assigns one job: among feasible platforms (score ≤ deadline after
 // accounting for the interference the job will experience from residents),
 // the configured Strategy picks the winner. The returned assignment is
 // unplaced when no platform is feasible, and Rejected when admission
 // control refused the job outright (MaxInFlight reached).
 func (s *Scheduler) Place(job Job) Assignment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.placeLocked(job)
+	return s.PlaceAll([]Job{job})[0]
 }
 
-func (s *Scheduler) placeLocked(job Job) Assignment {
-	if s.cfg.MaxInFlight > 0 && len(s.platformOf) >= s.cfg.MaxInFlight {
-		return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
+// PlaceAll places a wave of jobs in arrival order through the next replica
+// round-robin (see Replica.PlaceAll). With no concurrent events, decisions
+// are identical to calling Place per job.
+func (s *Scheduler) PlaceAll(jobs []Job) []Assignment {
+	r := s.replicas[(s.router.Add(1)-1)%uint64(len(s.replicas))]
+	return r.PlaceAll(jobs)
+}
+
+// shardFor returns the sorted platform list replica i currently places
+// into.
+func (s *Scheduler) shardFor(i int) []int {
+	m := s.shards.Load()
+	return m.shards[i%len(m.shards)]
+}
+
+// NumReplicas returns the replica count.
+func (s *Scheduler) NumReplicas() int { return len(s.replicas) }
+
+// NumShards returns the current shard count.
+func (s *Scheduler) NumShards() int { return len(s.shards.Load().shards) }
+
+// Replica returns frontend i, for drivers that pin work to replicas.
+func (s *Scheduler) Replica(i int) *Replica { return s.replicas[i] }
+
+// noteChunk ticks the auto-rebalance cadence after each placed chunk.
+func (s *Scheduler) noteChunk() {
+	if s.rebalanceEvery <= 0 || s.NumShards() < 2 {
+		return
 	}
-	// Candidate set: placeable platforms with a free colocation slot, each
-	// scored under a fresh resident snapshot (the snapshot may escape into
-	// the returned Assignment; the candidate/query buffers are scratch,
-	// reused across calls under the mutex). Down/Quarantined platforms are
-	// never candidates; half-open platforms take one trial job.
-	sc := &s.scratch
-	sc.reserve(s.cfg.NumPlatforms, 1)
-	cands := sc.cands[:0]
-	snaps := sc.snaps[:0]
-	placeable := 0
-	for p := 0; p < s.cfg.NumPlatforms; p++ {
-		if !s.healths[p].state.Placeable() {
-			continue
-		}
-		placeable++
-		if len(s.residents[p])+1 > s.colocCapLocked(p) {
-			continue
-		}
-		cands = append(cands, Candidate{
-			Platform: p,
-			Load:     len(s.residents[p]),
-			Degraded: s.healths[p].state == Degraded,
-		})
-		snaps = append(snaps, s.residentWorkloadsLocked(p))
+	if s.chunkCount.Add(1)%uint64(s.rebalanceEvery) != 0 {
+		return
 	}
-	switch {
-	case s.bpred != nil:
-		qs := sc.qs[:0]
-		for i, c := range cands {
-			qs = append(qs, Query{Workload: job.Workload, Platform: c.Platform, Interferers: snaps[i]})
+	if s.shardSkew() > s.rebalanceSkew {
+		s.Rebalance()
+	}
+}
+
+// shardSkew is the hottest shard's resident load over the mean shard load
+// (1 when perfectly balanced; +Inf-free: 0 loads give skew 0).
+func (s *Scheduler) shardSkew() float64 {
+	m := s.shards.Load()
+	total, max := 0, 0
+	for _, shard := range m.shards {
+		load := 0
+		for _, p := range shard {
+			load += s.store.Load(p)
 		}
-		feas := sc.pre[:len(qs)]
-		if s.dpolicy != nil {
-			rank := sc.preRank[:len(qs)]
-			s.dpolicy.ScoreDualBatch(s.bpred, qs, feas, rank)
-			for i := range cands {
-				cands[i].Score, cands[i].Rank = feas[i], rank[i]
+		total += load
+		if load > max {
+			max = load
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	mean := float64(total) / float64(len(m.shards))
+	return float64(max) / mean
+}
+
+// Rebalance rewrites the shard map by current resident load: platforms are
+// assigned greedily, heaviest first, to the lightest shard (deterministic
+// tie-breaks on index), then each shard is sorted so replica scoring order
+// stays ascending. Replicas pick the new map up at their next chunk;
+// placements that straddle the swap are protected by the commit protocol.
+func (s *Scheduler) Rebalance() {
+	s.rebalanceM.Lock()
+	defer s.rebalanceM.Unlock()
+	nShards := s.NumShards()
+	type platLoad struct{ p, load int }
+	pls := make([]platLoad, s.cfg.NumPlatforms)
+	for p := range pls {
+		pls[p] = platLoad{p: p, load: s.store.Load(p)}
+	}
+	sort.Slice(pls, func(i, j int) bool {
+		if pls[i].load != pls[j].load {
+			return pls[i].load > pls[j].load
+		}
+		return pls[i].p < pls[j].p
+	})
+	shards := make([][]int, nShards)
+	loads := make([]int, nShards)
+	for _, pl := range pls {
+		li := 0
+		for k := 1; k < nShards; k++ {
+			if loads[k] < loads[li] {
+				li = k
 			}
-		} else {
-			s.bpolicy.ScoreBatch(s.bpred, qs, feas)
-			for i := range cands {
-				cands[i].Score, cands[i].Rank = feas[i], feas[i]
-			}
 		}
-	case s.dpolicy != nil:
-		for i, c := range cands {
-			cands[i].Score, cands[i].Rank = s.dpolicy.ScoreDual(s.pred, job, c.Platform, snaps[i])
-		}
-	default:
-		for i, c := range cands {
-			v := s.policy.Score(s.pred, job, c.Platform, snaps[i])
-			cands[i].Score, cands[i].Rank = v, v
+		shards[li] = append(shards[li], pl.p)
+		loads[li] += pl.load
+	}
+	for _, shard := range shards {
+		sort.Ints(shard)
+	}
+	s.shards.Store(&shardMap{shards: shards})
+	s.rebalances.Add(1)
+}
+
+// ConflictStats returns the commit protocol's counters.
+func (s *Scheduler) ConflictStats() ConflictStats {
+	var shed uint64
+	for _, r := range s.replicas {
+		shed += r.shed.Load()
+	}
+	return ConflictStats{
+		Attempts:   s.store.reserveAttempts.Load(),
+		Conflicts:  s.store.reserveConflictsCnt.Load(),
+		Shed:       shed,
+		Rebalances: s.rebalances.Load(),
+	}
+}
+
+// ReplicaStats returns per-replica commit traffic, indexed by replica.
+func (s *Scheduler) ReplicaStats() []ReplicaStats {
+	out := make([]ReplicaStats, len(s.replicas))
+	for i, r := range s.replicas {
+		out[i] = ReplicaStats{
+			Commits:   r.commits.Load(),
+			Conflicts: r.conflicts.Load(),
+			Shed:      r.shed.Load(),
 		}
 	}
-	s.padDegraded(cands)
-	return s.commitBest(job, cands, snaps, placeable)
+	return out
 }
 
-// padDegraded inflates the feasibility score of candidates on Degraded
-// platforms by the configured penalty — the same float operation on every
-// scoring path (scalar, batch, fused), so degraded padding preserves the
-// paths' decision identity. Only the feasibility facet is padded: Rank
-// keeps the raw prediction, because strategies interpret it as runtime
-// (LeastLoaded keeps fast platforms free, BestFit packs tight) and a
-// padded rank would make degraded platforms look slower — and therefore
-// *more* attractive — to both. The preference for healthy platforms is
-// the strategies' explicit Degraded tie-break instead.
-func (s *Scheduler) padDegraded(cands []Candidate) {
-	padDegradedCands(cands, s.degradedPenalty)
+// Store returns the shared slot store (shared-state introspection).
+func (s *Scheduler) Store() *SlotStore { return s.store }
+
+// Lifecycle surface, delegated to the shared store so every replica and
+// external caller sees one cluster (see the SlotStore methods for the
+// exactly-once and breaker contracts).
+
+// Complete frees the colocation slot of a placed job; later placements see
+// the vacancy. Returns ErrUnknownJob for IDs never issued and
+// ErrJobCompleted for IDs already retired (completed earlier, or orphaned
+// by a platform failure).
+func (s *Scheduler) Complete(id JobID) error { return s.store.Complete(id) }
+
+// CompleteOutcome is Complete plus an outcome report for the circuit
+// breaker: miss records whether the execution overran its deadline. The
+// returned tripped flag reports whether this outcome tripped the platform
+// into quarantine.
+func (s *Scheduler) CompleteOutcome(id JobID, miss bool) (tripped bool, err error) {
+	return s.store.CompleteOutcome(id, miss)
 }
 
-// padDegradedCands is the padding shared by the locked scheduler and the
-// replicated placement path (Replica), so both arms apply the identical
-// float operation.
+// Fail marks platform p Down and orphans its residents exactly once.
+func (s *Scheduler) Fail(p int) ([]Orphan, error) { return s.store.Fail(p) }
+
+// Degrade marks platform p Degraded.
+func (s *Scheduler) Degrade(p int) error { return s.store.Degrade(p) }
+
+// Recover advances platform p toward Healthy.
+func (s *Scheduler) Recover(p int) error { return s.store.Recover(p) }
+
+// Health returns platform p's current state (Healthy for out-of-range
+// indices).
+func (s *Scheduler) Health(p int) HealthState { return s.store.Health(p) }
+
+// HealthSnapshot returns a copy of every platform's health state.
+func (s *Scheduler) HealthSnapshot() []HealthState { return s.store.HealthSnapshot() }
+
+// Impaired returns the number of platforms not currently Healthy.
+func (s *Scheduler) Impaired() int { return s.store.Impaired() }
+
+// FailureStats returns the failure-lifecycle counters.
+func (s *Scheduler) FailureStats() FailureStats { return s.store.FailureStats() }
+
+// InFlight returns the number of placed jobs that have not completed.
+func (s *Scheduler) InFlight() int { return s.store.InFlight() }
+
+// Residents returns a copy of the workloads currently placed on platform
+// p; mutating it never affects scheduler state.
+func (s *Scheduler) Residents(p int) []int { return s.store.Residents(p) }
+
+// padDegradedCands inflates the feasibility score of candidates on
+// Degraded platforms by the configured penalty — the same float operation
+// on every scoring path (scalar, batch, fused), so degraded padding
+// preserves the paths' decision identity. Only the feasibility facet is
+// padded: Rank keeps the raw prediction, because strategies interpret it
+// as runtime (LeastLoaded keeps fast platforms free, BestFit packs tight)
+// and a padded rank would make degraded platforms look slower — and
+// therefore *more* attractive — to both. The preference for healthy
+// platforms is the strategies' explicit Degraded tie-break instead.
 func padDegradedCands(cands []Candidate, penalty float64) {
 	for i := range cands {
 		if cands[i].Degraded {
@@ -426,8 +592,7 @@ func padDegradedCands(cands []Candidate, penalty float64) {
 // bestCandidate returns the index of the strategy-best feasible candidate:
 // NaN scores (unplaceable), +Inf scores (no valid bound), and scores past
 // the deadline are infeasible; the strategy orders the rest by Rank. -1
-// when nothing is feasible. Shared by commitBest and the replicated
-// placement path so a replica's selection is bitwise the scheduler's.
+// when nothing is feasible.
 func bestCandidate(strategy Strategy, job Job, cands []Candidate) int {
 	bestIdx := -1
 	for i, c := range cands {
@@ -452,426 +617,4 @@ func unplacedReason(placeable, nCands int) string {
 		return ReasonCapacity
 	}
 	return ReasonInfeasible
-}
-
-// commitBest selects the strategy-best feasible candidate and commits the
-// placement. Feasibility is judged on Candidate.Score; the strategy orders
-// by Candidate.Rank. snaps[i] is the resident snapshot cands[i] was scored
-// under; placeable is how many platforms were healthy enough to be
-// considered at all, distinguishing a shrunken healthy set from a full or
-// infeasible one in the unplaced Reason.
-func (s *Scheduler) commitBest(job Job, cands []Candidate, snaps [][]int, placeable int) Assignment {
-	bestIdx := bestCandidate(s.strategy, job, cands)
-	if bestIdx < 0 {
-		reason := unplacedReason(placeable, len(cands))
-		if s.rec != nil {
-			s.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ParseReason(reason),
-				Platform: -1, Version: s.snapVersion()})
-		}
-		return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: reason}
-	}
-	best := cands[bestIdx]
-	s.nextID++
-	id := s.nextID
-	s.residents[best.Platform] = append(s.residents[best.Platform], placedJob{id: id, job: job})
-	s.platformOf[id] = best.Platform
-	s.bumpSlotLocked(best.Platform)
-	if s.rec != nil {
-		s.rec.Record(obs.Event{Kind: obs.EvPlace, Job: uint64(id), ID: uint64(id),
-			Platform: int32(best.Platform), Version: s.snapVersion()})
-	}
-	return Assignment{
-		ID:          id,
-		Job:         job,
-		Platform:    best.Platform,
-		Budget:      best.Score,
-		Interferers: snaps[bestIdx],
-	}
-}
-
-// Complete frees the colocation slot of a placed job; residents change
-// over time, so later placements see the vacancy. Returns ErrUnknownJob
-// for IDs never issued and ErrJobCompleted for IDs already retired
-// (completed earlier, or orphaned by a platform failure) — both typed, so
-// callers can tell a caller bug from a benign duplicate without the
-// scheduler silently corrupting slot accounting. Under a concurrent
-// chunked PlaceAll, Complete waits at most one chunk's scoring, never the
-// whole wave.
-func (s *Scheduler) Complete(id JobID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, err := s.completeLocked(id)
-	return err
-}
-
-// completeLocked retires id and frees its slot, returning the platform it
-// ran on.
-func (s *Scheduler) completeLocked(id JobID) (int, error) {
-	p, ok := s.platformOf[id]
-	if !ok {
-		if id > 0 && id <= s.nextID {
-			return -1, ErrJobCompleted
-		}
-		return -1, ErrUnknownJob
-	}
-	delete(s.platformOf, id)
-	rs := s.residents[p]
-	for i := range rs {
-		if rs[i].id == id {
-			s.residents[p] = append(rs[:i], rs[i+1:]...)
-			s.bumpSlotLocked(p)
-			if s.rec != nil {
-				s.rec.Record(obs.Event{Kind: obs.EvComplete, Job: uint64(id), ID: uint64(id),
-					Platform: int32(p)})
-			}
-			return p, nil
-		}
-	}
-	// platformOf and residents are updated together under the lock; a
-	// missing entry would mean corrupted bookkeeping.
-	panic("sched: job in platformOf but not in residents")
-}
-
-// PlaceAll places a wave of jobs in arrival order. The wave is processed
-// in chunks of Config.WaveChunk jobs, each chunk atomic with respect to
-// concurrent Place/Complete and the scheduler lock released between
-// chunks: a completion arriving mid-wave lands between chunks, frees its
-// slot, and the following chunks see the vacancy — the event loop stays
-// responsive under long waves. With no concurrent events, decisions are
-// identical to the unchunked wave (and to calling Place per job): each
-// chunk pre-scores against the cluster state its first job would see, and
-// scores are per-query deterministic, so chunk boundaries never change a
-// selection.
-//
-// Within a chunk the batched path pre-scores every job on every platform
-// in a single predictor call — queries laid out platform-major so each
-// platform's resident set (and therefore its interference term) is folded
-// once, per model — and eagerly re-scores a platform dirtied by a
-// placement for the chunk's remaining jobs in one wide span. Dual-head
-// policies fill both the feasibility and ranking facets from the same
-// pass (one fused call when the predictor supports it).
-func (s *Scheduler) PlaceAll(jobs []Job) []Assignment {
-	// Observability is guarded per-site so the disabled path never calls
-	// time.Now: one predictable branch per chunk, zero allocations.
-	var waveStart time.Time
-	if s.met != nil {
-		waveStart = time.Now()
-		s.met.WaveSize.Observe(float64(len(jobs)))
-	}
-	out := make([]Assignment, len(jobs))
-	chunk := s.chunk
-	if chunk < 0 || chunk > len(jobs) {
-		chunk = len(jobs)
-	}
-	for lo := 0; lo < len(jobs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
-		s.mu.Lock()
-		var holdStart time.Time
-		if s.met != nil {
-			holdStart = time.Now()
-		}
-		s.placeWaveLocked(jobs[lo:hi], out[lo:hi])
-		if s.met != nil {
-			s.met.ChunkHold.ObserveSince(holdStart)
-		}
-		s.mu.Unlock()
-		if s.chunkGap != nil && hi < len(jobs) {
-			s.chunkGap()
-		}
-	}
-	if s.met != nil {
-		s.met.WavePlace.ObserveSince(waveStart)
-	}
-	return out
-}
-
-// placeWaveLocked places one chunk of jobs under the held lock, filling
-// out[i] for jobs[i].
-func (s *Scheduler) placeWaveLocked(jobs []Job, out []Assignment) {
-	if s.bpred == nil {
-		for i, j := range jobs {
-			out[i] = s.placeLocked(j)
-		}
-		return
-	}
-	dual := s.dpolicy != nil
-	nP, nJ := s.cfg.NumPlatforms, len(jobs)
-	sc := &s.scratch
-	sc.reserve(nP, nJ)
-
-	// Chunk pre-score against the chunk-start state, one batched call.
-	// Queries are built platform-major, so pre[] maps back to (p, j) by
-	// walking the platforms in the same order — no index bookkeeping.
-	// Health is fixed for the chunk: Fail/Degrade/Recover take the same
-	// mutex, so they land between chunks, never mid-chunk. On the memoized
-	// path the query build is skipped: columns go through the dedup + cache
-	// machinery in prescoreCachedLocked instead.
-	qs := sc.qs[:0]
-	snap := sc.snap[:nP]
-	prescored := sc.prescored[:nP]
-	placeable := 0
-	for p := 0; p < nP; p++ {
-		snap[p], prescored[p] = nil, false
-		if !s.healths[p].state.Placeable() {
-			continue // down/quarantined: never a candidate this chunk
-		}
-		placeable++
-		if len(s.residents[p]) >= s.colocCapLocked(p) {
-			continue // full at chunk start; can only stay full mid-chunk
-		}
-		snap[p], prescored[p] = s.residentWorkloadsLocked(p), true
-		if s.cache != nil {
-			continue
-		}
-		for j := range jobs {
-			qs = append(qs, Query{Workload: jobs[j].Workload, Platform: p, Interferers: snap[p]})
-		}
-	}
-	scoreAt := sc.scoreAt[:nP*nJ]
-	rankAt := sc.rankAt[:nP*nJ]
-	if s.cache != nil {
-		s.prescoreCachedLocked(jobs, snap, prescored, scoreAt, rankAt, dual)
-	} else {
-		pre := sc.pre[:len(qs)]
-		preRank := sc.preRank[:len(qs)]
-		var scoreStart time.Time
-		if s.met != nil {
-			scoreStart = time.Now()
-		}
-		if dual {
-			s.dpolicy.ScoreDualBatch(s.bpred, qs, pre, preRank)
-		} else {
-			s.bpolicy.ScoreBatch(s.bpred, qs, pre)
-		}
-		if s.met != nil {
-			s.met.ScoreBatch.ObserveSince(scoreStart)
-		}
-		if s.rec != nil {
-			s.rec.Record(obs.Event{Kind: obs.EvScore, Platform: -1, N: int32(nJ),
-				Version: s.snapVersion()})
-		}
-		next := 0
-		for p := 0; p < nP; p++ {
-			if !prescored[p] {
-				for j := 0; j < nJ; j++ {
-					scoreAt[p*nJ+j] = math.NaN()
-				}
-				continue
-			}
-			copy(scoreAt[p*nJ:(p+1)*nJ], pre[next:next+nJ])
-			if dual {
-				copy(rankAt[p*nJ:(p+1)*nJ], preRank[next:next+nJ])
-			}
-			next += nJ
-		}
-	}
-
-	cands := sc.cands[:0]
-	snaps := sc.snaps[:0]
-	rescoreQ := sc.rescoreQ[:0]
-	rescore := sc.rescore[:0]
-	rescoreRank := sc.rescoreRank[:0]
-	for j, job := range jobs {
-		if s.cfg.MaxInFlight > 0 && len(s.platformOf) >= s.cfg.MaxInFlight {
-			out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
-			continue
-		}
-		cands, snaps = cands[:0], snaps[:0]
-		for p := 0; p < nP; p++ {
-			if !s.healths[p].state.Placeable() {
-				continue
-			}
-			if len(s.residents[p])+1 > s.colocCapLocked(p) {
-				continue
-			}
-			c := Candidate{
-				Platform: p,
-				Load:     len(s.residents[p]),
-				Score:    scoreAt[p*nJ+j],
-				Degraded: s.healths[p].state == Degraded,
-			}
-			if dual {
-				c.Rank = rankAt[p*nJ+j]
-			} else {
-				c.Rank = c.Score
-			}
-			cands = append(cands, c)
-			snaps = append(snaps, snap[p])
-		}
-		s.padDegraded(cands)
-		out[j] = s.commitBest(job, cands, snaps, placeable)
-		p := out[j].Platform
-		if p < 0 || j+1 == nJ {
-			continue
-		}
-		// Re-score the just-dirtied platform for the chunk's remaining
-		// jobs: one span, one interference fold over its updated residents
-		// (per model).
-		ks := s.residentWorkloadsLocked(p)
-		snap[p] = ks
-		if len(s.residents[p]) >= s.colocCapLocked(p) {
-			continue // full now; remaining jobs exclude it by the cap check
-		}
-		if s.cache != nil {
-			// Memoized path: the commit above bumped p's slot version, so
-			// this scores (and caches) the column under its new residents.
-			s.rescoreCachedLocked(p, jobs, j+1, ks, scoreAt, rankAt, dual)
-			continue
-		}
-		rescoreQ = rescoreQ[:0]
-		for r := j + 1; r < nJ; r++ {
-			rescoreQ = append(rescoreQ, Query{Workload: jobs[r].Workload, Platform: p, Interferers: ks})
-		}
-		rescore = rescore[:len(rescoreQ)]
-		if dual {
-			rescoreRank = rescoreRank[:len(rescoreQ)]
-			s.dpolicy.ScoreDualBatch(s.bpred, rescoreQ, rescore, rescoreRank)
-		} else {
-			s.bpolicy.ScoreBatch(s.bpred, rescoreQ, rescore)
-		}
-		for i, r := 0, j+1; r < nJ; i, r = i+1, r+1 {
-			scoreAt[p*nJ+r] = rescore[i]
-			if dual {
-				rankAt[p*nJ+r] = rescoreRank[i]
-			}
-		}
-	}
-}
-
-// prescoreCachedLocked is placeWaveLocked's memoized pre-score: the
-// chunk's jobs are deduped to distinct workloads once (level 1), then each
-// prescored platform's distinct column is served through the cross-wave
-// cache (level 2). Misses from every column are scored in ONE batched
-// policy call — matching the uncached path's single-batch efficiency —
-// then scattered back and stored per column. The scoring epoch is captured
-// once for the chunk, so a concurrent Observe publish mid-chunk narrows —
-// never widens — the window of mixed-snapshot scores the uncached path
-// already tolerates.
-func (s *Scheduler) prescoreCachedLocked(jobs []Job, snap [][]int, prescored []bool, scoreAt, rankAt []float64, dual bool) {
-	nP, nJ := s.cfg.NumPlatforms, len(jobs)
-	sc := &s.scratch
-	sc.reserveCache(nP, nJ)
-	distinct, nD := dedupJobs(jobs, 0, sc.distinct, sc.dIdx)
-	sc.distinct = distinct
-	epoch := s.epoch()
-	cached := 0
-	qs := sc.colQ[:0]
-	missAt := sc.missW[:0] // flat column-grid index (p*nD+d) per miss
-	for p := 0; p < nP; p++ {
-		if !prescored[p] {
-			for j := 0; j < nJ; j++ {
-				scoreAt[p*nJ+j] = math.NaN()
-			}
-			continue
-		}
-		base := p * nD
-		feas := sc.colFeas[base : base+nD]
-		rank := sc.colRank[base : base+nD]
-		hit := sc.colHit[base : base+nD]
-		var lookStart time.Time
-		if s.met != nil {
-			lookStart = time.Now()
-		}
-		nHit := s.cache.lookup(p, s.slotVers[p], epoch, distinct, feas, rank, hit)
-		if s.met != nil {
-			s.met.CacheLookup.ObserveSince(lookStart)
-		}
-		cached += nHit
-		if nHit == nD {
-			continue
-		}
-		for d, w := range distinct {
-			if !hit[d] {
-				qs = append(qs, Query{Workload: w, Platform: p, Interferers: snap[p]})
-				missAt = append(missAt, base+d)
-			}
-		}
-	}
-	if len(qs) > 0 {
-		missFeas := sc.missFeas[:len(qs)]
-		missRank := sc.missRank[:len(qs)]
-		var scoreStart time.Time
-		if s.met != nil {
-			scoreStart = time.Now()
-		}
-		if dual {
-			s.dpolicy.ScoreDualBatch(s.bpred, qs, missFeas, missRank)
-		} else {
-			s.bpolicy.ScoreBatch(s.bpred, qs, missFeas)
-			copy(missRank, missFeas)
-		}
-		if s.met != nil {
-			s.met.ScoreBatch.ObserveSince(scoreStart)
-		}
-		for i, at := range missAt {
-			sc.colFeas[at], sc.colRank[at] = missFeas[i], missRank[i]
-		}
-		// Store each refreshed column back whole; entries that were hits
-		// already exist under the same key and are skipped by the insert
-		// guard, so this is one pass per column, not per miss.
-		prev := -1
-		for _, at := range missAt {
-			p := at / nD
-			if p == prev {
-				continue
-			}
-			prev = p
-			base := p * nD
-			s.cache.store(p, s.slotVers[p], epoch, distinct,
-				sc.colFeas[base:base+nD], sc.colRank[base:base+nD])
-		}
-	}
-	for p := 0; p < nP; p++ {
-		if !prescored[p] {
-			continue
-		}
-		base := p * nD
-		for j := 0; j < nJ; j++ {
-			d := sc.dIdx[j]
-			scoreAt[p*nJ+j] = sc.colFeas[base+d]
-			if dual {
-				rankAt[p*nJ+j] = sc.colRank[base+d]
-			}
-		}
-	}
-	if s.rec != nil {
-		s.rec.Record(obs.Event{Kind: obs.EvScore, Platform: -1, N: int32(nJ),
-			Cached: int32(cached), Version: s.snapVersion()})
-	}
-}
-
-// rescoreCachedLocked is the memoized twin of the dirty-platform rescore
-// span: jobs[from:] are deduped (level 1) and platform p's distinct column
-// is scored in one small batch. The cross-wave cache is deliberately NOT
-// consulted or fed here: the commit this rescore follows just bumped p's
-// slot version, so a lookup can never hit, and a stored column would
-// survive only until the placed job's completion bumps the version again —
-// the next wave's prescore re-scores (and caches) the column alongside its
-// other misses for the same batched cost.
-func (s *Scheduler) rescoreCachedLocked(p int, jobs []Job, from int, ks []int, scoreAt, rankAt []float64, dual bool) {
-	nJ := len(jobs)
-	sc := &s.scratch
-	distinct, nD := dedupJobs(jobs, from, sc.distinct, sc.dIdx)
-	sc.distinct = distinct
-	feas := sc.colFeas[:nD]
-	rank := sc.colRank[:nD]
-	qs := sc.colQ[:0]
-	for _, w := range distinct {
-		qs = append(qs, Query{Workload: w, Platform: p, Interferers: ks})
-	}
-	if dual {
-		s.dpolicy.ScoreDualBatch(s.bpred, qs, feas, rank)
-	} else {
-		s.bpolicy.ScoreBatch(s.bpred, qs, feas)
-	}
-	for i, r := 0, from; r < nJ; i, r = i+1, r+1 {
-		d := sc.dIdx[i]
-		scoreAt[p*nJ+r] = feas[d]
-		if dual {
-			rankAt[p*nJ+r] = rank[d]
-		}
-	}
 }

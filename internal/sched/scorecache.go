@@ -26,7 +26,7 @@ import (
 // Entries hold raw post-policy scores, before the degraded penalty —
 // padding is applied per-use on candidates, so cached columns serve
 // healthy and degraded selections alike. The policy identity and eps are
-// fixed per scheduler instance (a cache is built by New/NewReplicaSet and
+// fixed per scheduler instance (a cache is built by New/NewReplicated and
 // never shared across configurations), so they key the cache by
 // construction rather than by hash.
 //

@@ -51,24 +51,12 @@ func (e *epochPred) BoundSecondsBatch(qs []Query, eps float64) []float64 {
 func (e *epochPred) ScoreEpoch() uint64 { return e.epoch }
 func (e *epochPred) Version() uint64    { return e.epoch }
 
-// cacheArm is the lifecycle surface the identity property drives in
-// lockstep; both *Scheduler and *ReplicaSet satisfy it.
-type cacheArm interface {
-	PlaceAll(jobs []Job) []Assignment
-	Complete(id JobID) error
-	CompleteOutcome(id JobID, miss bool) (bool, error)
-	Fail(p int) ([]Orphan, error)
-	Degrade(p int) error
-	Recover(p int) error
-}
-
 // TestScoreCacheDecisionIdentityUnderChurn is the tentpole property on the
 // fake predictor: for seeded random op sequences — dup-heavy waves,
 // completions with breaker outcomes, Fail/Degrade/Recover churn, and
-// mid-stream scoring-epoch bumps — the cache-on Scheduler, the cache-off
-// single-replica ReplicaSet, and the cache-on ReplicaSet all produce
-// assignments bitwise identical to the cache-off Scheduler, including job
-// IDs, budgets, unplaced reasons, and orphan sets.
+// mid-stream scoring-epoch bumps — the cache-on scheduler produces
+// assignments bitwise identical to the cache-off one, including job IDs,
+// budgets, unplaced reasons, and orphan sets.
 func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 	policies := []Policy{MeanPolicy{}, BoundPolicy{Eps: 0.1}, MeanBoundPolicy{Eps: 0.1}}
 	for seed := int64(0); seed < 6; seed++ {
@@ -90,15 +78,6 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 			cfgOn.ScoreCache = true
 			ref := mustNew(t, cfg, pol, pred)
 			cached := mustNew(t, cfgOn, pol, pred)
-			rsOff, err := NewReplicaSet(cfg, ReplicaConfig{Replicas: 1, Shards: 1}, pol, pred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rsOn, err := NewReplicaSet(cfgOn, ReplicaConfig{Replicas: 1, Shards: 1}, pol, pred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			arms := map[string]cacheArm{"sched+cache": cached, "rset-cache": rsOff, "rset+cache": rsOn}
 
 			var live []JobID
 			var retired []JobID
@@ -115,13 +94,11 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 						}
 					}
 					want := ref.PlaceAll(jobs)
-					for name, arm := range arms {
-						got := arm.PlaceAll(jobs)
-						for i := range want {
-							if !sameAssignment(got[i], want[i]) || got[i].Reason != want[i].Reason {
-								t.Fatalf("seed %d %s op %d %s: job %d got %+v want %+v",
-									seed, pol.Name(), op, name, i, got[i], want[i])
-							}
+					got := cached.PlaceAll(jobs)
+					for i := range want {
+						if !sameAssignment(got[i], want[i]) || got[i].Reason != want[i].Reason {
+							t.Fatalf("seed %d %s op %d: job %d got %+v want %+v",
+								seed, pol.Name(), op, i, got[i], want[i])
 						}
 					}
 					for _, a := range want {
@@ -137,45 +114,37 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						miss := rng.Intn(3) == 0
 						wantTrip, wantErr := ref.CompleteOutcome(id, miss)
-						for name, arm := range arms {
-							trip, err := arm.CompleteOutcome(id, miss)
-							if trip != wantTrip || (err == nil) != (wantErr == nil) {
-								t.Fatalf("seed %d %s op %d %s: CompleteOutcome(%d) = (%v,%v) want (%v,%v)",
-									seed, pol.Name(), op, name, id, trip, err, wantTrip, wantErr)
-							}
+						trip, err := cached.CompleteOutcome(id, miss)
+						if trip != wantTrip || (err == nil) != (wantErr == nil) {
+							t.Fatalf("seed %d %s op %d: CompleteOutcome(%d) = (%v,%v) want (%v,%v)",
+								seed, pol.Name(), op, id, trip, err, wantTrip, wantErr)
 						}
 					} else {
 						wantErr := ref.Complete(id)
-						for name, arm := range arms {
-							if err := arm.Complete(id); (err == nil) != (wantErr == nil) {
-								t.Fatalf("seed %d %s op %d %s: Complete(%d) = %v want %v",
-									seed, pol.Name(), op, name, id, err, wantErr)
-							}
+						if err := cached.Complete(id); (err == nil) != (wantErr == nil) {
+							t.Fatalf("seed %d %s op %d: Complete(%d) = %v want %v",
+								seed, pol.Name(), op, id, err, wantErr)
 						}
 					}
 				case k < 72 && len(retired) > 0: // duplicate completion of a retired ID
 					id := retired[rng.Intn(len(retired))]
 					wantErr := ref.Complete(id)
-					for name, arm := range arms {
-						if err := arm.Complete(id); (err == nil) != (wantErr == nil) {
-							t.Fatalf("seed %d %s op %d %s: stale Complete(%d) = %v want %v",
-								seed, pol.Name(), op, name, id, err, wantErr)
-						}
+					if err := cached.Complete(id); (err == nil) != (wantErr == nil) {
+						t.Fatalf("seed %d %s op %d: stale Complete(%d) = %v want %v",
+							seed, pol.Name(), op, id, err, wantErr)
 					}
 				case k < 80: // platform failure orphans residents
 					p := rng.Intn(nP)
 					want, wantErr := ref.Fail(p)
-					for name, arm := range arms {
-						got, err := arm.Fail(p)
-						if (err == nil) != (wantErr == nil) || len(got) != len(want) {
-							t.Fatalf("seed %d %s op %d %s: Fail(%d) = (%d orphans, %v) want (%d, %v)",
-								seed, pol.Name(), op, name, p, len(got), err, len(want), wantErr)
-						}
-						for i := range want {
-							if got[i].ID != want[i].ID || got[i].Job != want[i].Job {
-								t.Fatalf("seed %d %s op %d %s: orphan %d = %+v want %+v",
-									seed, pol.Name(), op, name, i, got[i], want[i])
-							}
+					got, err := cached.Fail(p)
+					if (err == nil) != (wantErr == nil) || len(got) != len(want) {
+						t.Fatalf("seed %d %s op %d: Fail(%d) = (%d orphans, %v) want (%d, %v)",
+							seed, pol.Name(), op, p, len(got), err, len(want), wantErr)
+					}
+					for i := range want {
+						if got[i].ID != want[i].ID || got[i].Job != want[i].Job {
+							t.Fatalf("seed %d %s op %d: orphan %d = %+v want %+v",
+								seed, pol.Name(), op, i, got[i], want[i])
 						}
 					}
 					for _, o := range want {
@@ -190,20 +159,16 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 				case k < 86: // degrade
 					p := rng.Intn(nP)
 					wantErr := ref.Degrade(p)
-					for name, arm := range arms {
-						if err := arm.Degrade(p); (err == nil) != (wantErr == nil) {
-							t.Fatalf("seed %d %s op %d %s: Degrade(%d) = %v want %v",
-								seed, pol.Name(), op, name, p, err, wantErr)
-						}
+					if err := cached.Degrade(p); (err == nil) != (wantErr == nil) {
+						t.Fatalf("seed %d %s op %d: Degrade(%d) = %v want %v",
+							seed, pol.Name(), op, p, err, wantErr)
 					}
 				case k < 92: // recover
 					p := rng.Intn(nP)
 					wantErr := ref.Recover(p)
-					for name, arm := range arms {
-						if err := arm.Recover(p); (err == nil) != (wantErr == nil) {
-							t.Fatalf("seed %d %s op %d %s: Recover(%d) = %v want %v",
-								seed, pol.Name(), op, name, p, err, wantErr)
-						}
+					if err := cached.Recover(p); (err == nil) != (wantErr == nil) {
+						t.Fatalf("seed %d %s op %d: Recover(%d) = %v want %v",
+							seed, pol.Name(), op, p, err, wantErr)
 					}
 				default: // snapshot publish: every cached column goes stale
 					pred.epoch++
@@ -211,9 +176,6 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 			}
 			if st, on := cached.ScoreCacheStats(); !on || st.Hits == 0 {
 				t.Errorf("seed %d %s: cached scheduler saw no hits (on=%v stats=%+v)", seed, pol.Name(), on, st)
-			}
-			if st, on := rsOn.ScoreCacheStats(); !on || st.Hits == 0 {
-				t.Errorf("seed %d %s: cached replica set saw no hits (on=%v stats=%+v)", seed, pol.Name(), on, st)
 			}
 		}
 	}
@@ -347,7 +309,7 @@ func TestScoreCacheScalarArmDisabled(t *testing.T) {
 // another replica's identical view wholesale.
 func TestScoreCacheSharedAcrossReplicas(t *testing.T) {
 	pred := &epochPred{base: []float64{1, 2, 3, 4}}
-	rs, err := NewReplicaSet(Config{NumPlatforms: 4, ScoreCache: true},
+	rs, err := NewReplicated(Config{NumPlatforms: 4, ScoreCache: true},
 		ReplicaConfig{Replicas: 2, Shards: 1}, MeanPolicy{}, pred)
 	if err != nil {
 		t.Fatal(err)

@@ -57,12 +57,12 @@ func (st *platformSlots) refreshKS() {
 }
 
 // workloads returns the cached workload-index snapshot of the residents
-// (nil when empty), mirroring Scheduler.residentWorkloadsLocked. The
-// returned slice is shared and immutable — callers must not mutate it.
+// (nil when empty). The returned slice is shared and immutable — callers
+// must not mutate it.
 func (st *platformSlots) workloads() []int { return st.ks }
 
 // colocCap is the platform's effective colocation cap: one trial job during
-// half-open probation, maxColocation otherwise (Scheduler.colocCapLocked).
+// half-open probation, maxColocation otherwise.
 func (st *platformSlots) colocCap(maxColocation int) int {
 	if st.probation {
 		return 1
@@ -85,18 +85,17 @@ const (
 	reserveAdmission
 )
 
-// SlotStore is the shared cluster state N scheduler replicas place into:
+// SlotStore is the cluster state a Scheduler's replicas place into:
 // per-platform resident sets and health behind atomic pointers (mutated by
 // clone + compare-and-swap), a lock-free job index, and cluster-wide
 // admission. Replicas score waves optimistically against a snapshot of
 // this state and reserve colocation slots with reserve; a version mismatch
 // at commit is a conflict the replica retries after refreshing its view.
 //
-// The failure lifecycle mirrors Scheduler's exactly-once contract: Fail
-// orphans each resident exactly once even when completions race it (the
-// byJob LoadAndDelete winner retires the job), Complete on a retired or
-// reservation-burned ID returns ErrJobCompleted, and breaker outcomes feed
-// the same healthCore state machine the scheduler uses.
+// The failure lifecycle is exactly-once: Fail orphans each resident exactly
+// once even when completions race it (the byJob LoadAndDelete winner
+// retires the job), Complete on a retired or reservation-burned ID returns
+// ErrJobCompleted, and breaker outcomes feed the healthCore state machine.
 type SlotStore struct {
 	numPlatforms  int
 	maxColocation int
@@ -130,9 +129,9 @@ type SlotStore struct {
 	reserveGap func(p int)
 
 	// rec is the optional flight recorder (Config.Recorder): the store is
-	// the single retirement of record for replicated placements, so
-	// reserve/complete/orphan/readmit events are emitted here, once,
-	// regardless of which replica drove them.
+	// the single retirement of record, so reserve/complete/orphan/readmit
+	// events are emitted here, once, regardless of which replica drove
+	// them.
 	rec *obs.Recorder
 }
 
@@ -263,9 +262,8 @@ func (st *SlotStore) retire(id JobID) (int, error) {
 	return p, nil
 }
 
-// Complete frees the colocation slot of a placed job (Scheduler.Complete
-// semantics: ErrJobCompleted for retired or burned IDs, ErrUnknownJob for
-// IDs never allocated).
+// Complete frees the colocation slot of a placed job: ErrJobCompleted for
+// retired or burned IDs, ErrUnknownJob for IDs never allocated.
 func (st *SlotStore) Complete(id JobID) error {
 	_, err := st.retire(id)
 	return err
@@ -297,10 +295,13 @@ func (st *SlotStore) CompleteOutcome(id JobID, miss bool) (tripped bool, err err
 	}
 }
 
-// Fail marks platform p Down and orphans its residents exactly once: the
-// state swap stops new reservations (their CAS loses), then each former
-// resident is retired — unless a concurrent completer won that job's
-// retirement first, in which case it is that completer's, not an orphan.
+// Fail marks platform p Down and orphans its residents exactly once: every
+// orphan's ID is retired (Complete returns ErrJobCompleted) and returned
+// with its Job so the caller can reschedule it. The state swap stops new
+// reservations (their CAS loses), then each former resident is retired —
+// unless a concurrent completer won that job's retirement first, in which
+// case it is that completer's, not an orphan. Failing an already-Down
+// platform is a no-op.
 func (st *SlotStore) Fail(p int) ([]Orphan, error) {
 	if err := st.checkPlatform(p); err != nil {
 		return nil, err
@@ -336,7 +337,11 @@ func (st *SlotStore) Fail(p int) ([]Orphan, error) {
 	return orphans, nil
 }
 
-// Degrade marks platform p Degraded (Scheduler.Degrade semantics).
+// Degrade marks platform p Degraded: it keeps its residents and keeps
+// accepting placements, but every candidate score is padded by
+// Config.DegradedPenalty and strategies prefer healthy platforms at equal
+// rank. Degrading a Down or Quarantined platform is an error (recover it
+// first); degrading a Degraded platform is a no-op.
 func (st *SlotStore) Degrade(p int) error {
 	if err := st.checkPlatform(p); err != nil {
 		return err
@@ -360,9 +365,10 @@ func (st *SlotStore) Degrade(p int) error {
 	}
 }
 
-// Recover advances platform p toward Healthy (Scheduler.Recover
-// semantics: half-open probation from Down/Quarantined, closed from
-// Degraded, no-op from Healthy).
+// Recover advances platform p toward Healthy: a Down or Quarantined
+// platform re-enters half-open probation (Degraded, colocation capped at
+// one trial job, Probation consecutive successes to close); a Degraded
+// platform closes to Healthy. Recovering a Healthy platform is a no-op.
 func (st *SlotStore) Recover(p int) error {
 	if err := st.checkPlatform(p); err != nil {
 		return err
@@ -391,7 +397,7 @@ func (st *SlotStore) Recover(p int) error {
 }
 
 // Health returns platform p's current state (Healthy for out-of-range
-// indices, like Scheduler.Health).
+// indices; validate with the event methods).
 func (st *SlotStore) Health(p int) HealthState {
 	if p < 0 || p >= st.numPlatforms {
 		return Healthy

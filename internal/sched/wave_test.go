@@ -205,7 +205,7 @@ func TestChunkedWaveMidWaveComplete(t *testing.T) {
 		t.Fatal("resident unplaced")
 	}
 	gaps := 0
-	sc.chunkGap = func() {
+	sc.Replica(0).chunkGap = func() {
 		gaps++
 		if err := sc.Complete(r.ID); err != nil {
 			t.Errorf("mid-wave complete: %v", err)

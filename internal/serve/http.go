@@ -158,13 +158,13 @@ type RecoverResponse struct {
 // approximate fast kernel (within its documented error bound), false for
 // the exact bitwise path.
 type HealthResponse struct {
-	OK           bool    `json:"ok"`
-	Version      uint64  `json:"version"`
-	Observations int     `json:"observations"`
-	Workloads    int     `json:"workloads"`
-	Platforms    int     `json:"platforms"`
-	Bounds       bool    `json:"bounds"`
-	FastScoring  bool    `json:"fast_scoring"`
+	OK           bool   `json:"ok"`
+	Version      uint64 `json:"version"`
+	Observations int    `json:"observations"`
+	Workloads    int    `json:"workloads"`
+	Platforms    int    `json:"platforms"`
+	Bounds       bool   `json:"bounds"`
+	FastScoring  bool   `json:"fast_scoring"`
 	// UptimeSeconds is the time since the server was constructed;
 	// BuildVersion is the binary stamp injected at link time (cmd/serve
 	// builds with -ldflags "-X main.buildVersion=...", default "dev").
@@ -228,6 +228,28 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
+// maxRequestBytes caps every JSON request body. The largest bodies a
+// serving client sends in practice — 32-job /place waves, 32-observation
+// /observe batches — are a few kilobytes.
+const maxRequestBytes = 1 << 20
+
+// decodeJSON decodes the request body into v, reading at most
+// maxRequestBytes of it. On failure it writes the typed JSON error reply —
+// 413 for an oversized body, 400 for a malformed one — and returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("decode request: %w", err))
+	return false
+}
+
 // validateQuery bounds-checks entity indices against the current snapshot
 // before they reach the embedding tables.
 func (s *Server) validateQuery(q pitot.Query) error {
@@ -259,8 +281,7 @@ func (s *Server) handlePrediction(w http.ResponseWriter, r *http.Request, bound 
 	start := time.Now()
 	defer h.ObserveSince(start)
 	var req EstimateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	q := pitot.Query{Workload: req.Workload, Platform: req.Platform, Interferers: req.Interferers}
@@ -301,8 +322,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ObserveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Observations) == 0 {
@@ -331,8 +351,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer s.hists.place.ObserveSince(start)
 	var req PlaceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Jobs) == 0 {
@@ -379,8 +398,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {
@@ -446,8 +464,7 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FailRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.Degrade {
@@ -487,8 +504,7 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RecoverRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if err := s.RecoverPlatform(req.Platform); err != nil {

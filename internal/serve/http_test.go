@@ -371,3 +371,49 @@ func TestHTTPConcurrentObserveAndEstimate(t *testing.T) {
 		t.Fatalf("observe version %d, want %d", obsResp.Version, base+1)
 	}
 }
+
+// TestHTTPOversizedBodyRejected: a request body over maxRequestBytes is
+// refused with 413 and the typed JSON error before it reaches the
+// predictor, and the daemon keeps serving afterwards.
+func TestHTTPOversizedBodyRejected(t *testing.T) {
+	pred, _ := testPredictor(t)
+	s := New(pred, Config{})
+	defer s.Close()
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	client := ts.Client()
+	before := s.Info().Version
+
+	// A syntactically valid 2 MiB /observe batch: only its size is wrong.
+	var body bytes.Buffer
+	body.WriteString(`{"observations":[`)
+	for body.Len() < 2<<20 {
+		body.WriteString(`{"workload":0,"platform":0,"seconds":1},`)
+	}
+	body.WriteString(`{"workload":0,"platform":0,"seconds":1}]}`)
+	resp, err := client.Post(ts.URL+"/observe", "application/json", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er errorResponse
+	decErr := json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /observe: status %d, want 413", resp.StatusCode)
+	}
+	if decErr != nil || er.Error == "" {
+		t.Fatalf("oversized /observe: want typed JSON error, got %+v (%v)", er, decErr)
+	}
+	if got := s.Info().Version; got != before {
+		t.Fatalf("oversized /observe published a snapshot: v%d -> v%d", before, got)
+	}
+
+	hr, err := client.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after oversized body: status %d", hr.StatusCode)
+	}
+}

@@ -233,8 +233,8 @@ type Metrics struct {
 	PlaceInline   int64 `json:"place_inline,omitempty"`
 	PlaceShed     int64 `json:"place_shed,omitempty"`
 
-	// Replicated-placement counters (PlacementConfig.Replicas > 1):
-	// scheduler replicas serving /place, optimistic slot reservations
+	// Commit-protocol counters (placement enabled): scheduler replicas
+	// serving /place, optimistic slot reservations
 	// attempted, reservations that lost the commit race, jobs shed after
 	// exhausting their conflict-retry budget, and shard-map rebalances.
 	PlaceReplicas     int    `json:"place_replicas,omitempty"`
@@ -303,23 +303,19 @@ func (s *Server) Metrics() Metrics {
 		for p, h := range hs {
 			out.PlatformHealth[p] = h.String()
 		}
-		if cr, ok := s.placer.(conflictReporter); ok {
-			cs := cr.ConflictStats()
-			out.PlaceReplicas = cr.NumReplicas()
-			out.ReserveAttempts = cs.Attempts
-			out.ReserveConflicts = cs.Conflicts
-			out.PlaceConflictShed = cs.Shed
-			out.PlaceRebalances = cs.Rebalances
-		}
-		if sr, ok := s.placer.(scoreCacheReporter); ok {
-			if cs, enabled := sr.ScoreCacheStats(); enabled {
-				out.ScoreCacheEnabled = true
-				out.ScoreCacheHits = cs.Hits
-				out.ScoreCacheMisses = cs.Misses
-				out.ScoreCacheEvictions = cs.Evictions
-				out.ScoreCacheInvalidations = cs.Invalidations
-				out.ScoreCacheEntries = cs.Entries
-			}
+		cs := s.placer.ConflictStats()
+		out.PlaceReplicas = s.placer.NumReplicas()
+		out.ReserveAttempts = cs.Attempts
+		out.ReserveConflicts = cs.Conflicts
+		out.PlaceConflictShed = cs.Shed
+		out.PlaceRebalances = cs.Rebalances
+		if st, enabled := s.placer.ScoreCacheStats(); enabled {
+			out.ScoreCacheEnabled = true
+			out.ScoreCacheHits = st.Hits
+			out.ScoreCacheMisses = st.Misses
+			out.ScoreCacheEvictions = st.Evictions
+			out.ScoreCacheInvalidations = st.Invalidations
+			out.ScoreCacheEntries = st.Entries
 		}
 	}
 	m.perSnap.Range(func(k, v any) bool {

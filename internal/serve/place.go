@@ -31,7 +31,7 @@ type PlacementConfig struct {
 	PadFactor float64
 	// Strategy is "least-loaded" (default), "best-fit", or "utilization".
 	Strategy string
-	// WaveChunk bounds jobs placed per scheduler-lock hold (see
+	// WaveChunk bounds jobs placed per replica-lock hold (see
 	// sched.Config.WaveChunk); 0 = default.
 	WaveChunk int
 	// Window accumulates concurrent single-job PlaceJobs calls for up to
@@ -49,10 +49,9 @@ type PlacementConfig struct {
 	// Breaker tunes the per-platform circuit breaker fed by /complete
 	// outcome reports; the zero value disables automatic trips.
 	Breaker sched.BreakerConfig
-	// Replicas runs N scheduler replicas over one shared snapshot-isolated
-	// slot store instead of a single mutex-serialized scheduler: /place
-	// requests round-robin across replicas, which commit optimistically and
-	// retry on conflict. 0 or 1 keeps the plain scheduler.
+	// Replicas is the number of scheduler replicas placing into the shared
+	// slot store: /place requests round-robin across them, and each commits
+	// optimistically and retries on conflict. 0 or 1 runs one replica.
 	Replicas int
 	// Shards partitions platforms across replicas (see
 	// sched.ReplicaConfig.Shards). The serving default (0) is one shared
@@ -75,40 +74,6 @@ type PlacementConfig struct {
 	// ScoreCacheCap bounds total cached score entries across all
 	// platforms; 0 = sched's default (4096).
 	ScoreCacheCap int
-}
-
-// Placer is the placement engine behind /place — either a
-// *sched.Scheduler (Replicas <= 1) or a *sched.ReplicaSet. Both make
-// identical decisions for a serial request stream; the replica set adds
-// optimistic concurrency for parallel frontends.
-type Placer interface {
-	Place(job sched.Job) sched.Assignment
-	PlaceAll(jobs []sched.Job) []sched.Assignment
-	Complete(id sched.JobID) error
-	CompleteOutcome(id sched.JobID, miss bool) (bool, error)
-	Fail(p int) ([]sched.Orphan, error)
-	Degrade(p int) error
-	Recover(p int) error
-	Health(p int) sched.HealthState
-	HealthSnapshot() []sched.HealthState
-	FailureStats() sched.FailureStats
-	InFlight() int
-	Batched() bool
-	Fused() bool
-}
-
-// conflictReporter is the optional replica-mode stats surface of a Placer;
-// *sched.ReplicaSet implements it.
-type conflictReporter interface {
-	ConflictStats() sched.ConflictStats
-	NumReplicas() int
-}
-
-// scoreCacheReporter is the optional score-cache stats surface of a
-// Placer; both *sched.Scheduler and *sched.ReplicaSet implement it (the
-// second return reports whether the cache is enabled).
-type scoreCacheReporter interface {
-	ScoreCacheStats() (sched.ScoreCacheStats, bool)
 }
 
 // placeReq is one queued single-job placement awaiting wave fusion.
@@ -242,26 +207,18 @@ func (s *Server) EnablePlacement(pc PlacementConfig) error {
 		ScoreCache:      pc.ScoreCache,
 		ScoreCacheCap:   pc.ScoreCacheCap,
 	}
-	if pc.Replicas > 1 {
-		shards := pc.Shards
-		if shards == 0 {
-			shards = 1 // shared pool: any replica can place anywhere
-		}
-		rs, err := sched.NewReplicaSet(cfg, sched.ReplicaConfig{
-			Replicas: pc.Replicas,
-			Shards:   shards,
-		}, pol, pred)
-		if err != nil {
-			return err
-		}
-		s.placer = rs
-	} else {
-		placer, err := sched.New(cfg, pol, pred)
-		if err != nil {
-			return err
-		}
-		s.placer = placer
+	// Serving defaults to one shared pool (Shards 1): every HTTP client's
+	// job must be placeable on any platform no matter which replica
+	// handles it.
+	shards := pc.Shards
+	if shards == 0 {
+		shards = 1
 	}
+	placer, err := sched.NewReplicated(cfg, sched.ReplicaConfig{Replicas: pc.Replicas, Shards: shards}, pol, pred)
+	if err != nil {
+		return err
+	}
+	s.placer = placer
 	s.placementPolicy = pol.Name()
 	s.placementStrategy = strat.Name()
 	if pc.Window > 0 {
@@ -277,7 +234,7 @@ func (s *Server) EnablePlacement(pc PlacementConfig) error {
 }
 
 // Placer returns the placement engine, nil unless EnablePlacement ran.
-func (s *Server) Placer() Placer { return s.placer }
+func (s *Server) Placer() *sched.Scheduler { return s.placer }
 
 // PlaceJobs places a wave of jobs through the placement engine, updating
 // the serving metrics. Multi-job calls are already waves and place

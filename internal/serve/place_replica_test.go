@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -78,5 +79,33 @@ func TestReplicatedPlacementConcurrent(t *testing.T) {
 	if m.Placed != placed.Load() || m.Completed != completed.Load() {
 		t.Fatalf("metrics placed=%d completed=%d, counted %d/%d",
 			m.Placed, m.Completed, placed.Load(), completed.Load())
+	}
+}
+
+// TestSingleReplicaPlacementMetrics: the default placement engine is one
+// replica of the same commit protocol, so its replica gauge and
+// reservation counters are exported like any replicated setup's.
+func TestSingleReplicaPlacementMetrics(t *testing.T) {
+	pred, _ := testPredictor(t)
+	s := New(pred, Config{})
+	defer s.Close()
+	if err := s.EnablePlacement(PlacementConfig{Policy: "mean"}); err != nil {
+		t.Fatal(err)
+	}
+	as, err := s.PlaceJobs([]sched.Job{{Workload: 0, Deadline: 1e9}})
+	if err != nil || !as[0].Placed() {
+		t.Fatalf("place: %+v, %v", as, err)
+	}
+	m := s.Metrics()
+	if m.PlaceReplicas != 1 || m.ReserveAttempts != 1 || m.ReserveConflicts != 0 {
+		t.Fatalf("replicas=%d attempts=%d conflicts=%d, want 1/1/0",
+			m.PlaceReplicas, m.ReserveAttempts, m.ReserveConflicts)
+	}
+	var b strings.Builder
+	if err := s.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\npitot_place_replicas 1\n") {
+		t.Fatal("pitot_place_replicas 1 missing from the exposition")
 	}
 }

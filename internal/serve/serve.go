@@ -32,6 +32,7 @@ import (
 
 	pitot "repro"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // Backend is the predictor surface the server batches over. *pitot.Predictor
@@ -166,9 +167,9 @@ type Server struct {
 
 	// placer is the optional orchestration engine behind /place; nil until
 	// EnablePlacement. Its decisions read the same lock-free snapshot the
-	// prediction paths serve. A single scheduler by default, a
-	// sched.ReplicaSet when PlacementConfig.Replicas > 1.
-	placer            Placer
+	// prediction paths serve. One replica by default
+	// (PlacementConfig.Replicas).
+	placer            *sched.Scheduler
 	placementPolicy   string
 	placementStrategy string
 

@@ -24,22 +24,11 @@ func equalAssignment(a, b sched.Assignment) bool {
 	return true
 }
 
-// cacheArm is the lifecycle surface the identity checks drive in lockstep;
-// both *sched.Scheduler and *sched.ReplicaSet satisfy it.
-type cacheArm interface {
-	PlaceAll(jobs []sched.Job) []sched.Assignment
-	Complete(id sched.JobID) error
-	Fail(p int) ([]sched.Orphan, error)
-	Degrade(p int) error
-	Recover(p int) error
-}
-
 // TestScoreCacheRealPredictorDecisionIdentity is the acceptance property on
 // the trained model: under dup-heavy waves, completions, and platform
-// Fail/Degrade/Recover churn, the cache-on Scheduler and the cache-on
-// single-replica ReplicaSet produce assignments bitwise identical to the
-// cache-off Scheduler — same platforms, same budgets, same unplaced
-// reasons.
+// Fail/Degrade/Recover churn, the cache-on scheduler produces assignments
+// bitwise identical to the cache-off one — same platforms, same budgets,
+// same unplaced reasons.
 func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 	pred, ds := enginePredictor(t)
 	nP := ds.NumPlatforms()
@@ -64,11 +53,6 @@ func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rsOn, err := sched.NewReplicaSet(cfgOn, sched.ReplicaConfig{Replicas: 1, Shards: 1}, pol, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arms := map[string]cacheArm{"sched+cache": cached, "rset+cache": rsOn}
 
 		rng := rand.New(rand.NewSource(41))
 		var live []sched.JobID
@@ -85,13 +69,11 @@ func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 					}
 				}
 				want := ref.PlaceAll(jobs)
-				for name, arm := range arms {
-					got := arm.PlaceAll(jobs)
-					for i := range want {
-						if !equalAssignment(got[i], want[i]) {
-							t.Fatalf("%s op %d %s: job %d got %+v want %+v",
-								pol.Name(), op, name, i, got[i], want[i])
-						}
+				got := cached.PlaceAll(jobs)
+				for i := range want {
+					if !equalAssignment(got[i], want[i]) {
+						t.Fatalf("%s op %d: job %d got %+v want %+v",
+							pol.Name(), op, i, got[i], want[i])
 					}
 				}
 				for _, a := range want {
@@ -104,20 +86,16 @@ func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 				id := live[i]
 				live = append(live[:i], live[i+1:]...)
 				wantErr := ref.Complete(id)
-				for name, arm := range arms {
-					if err := arm.Complete(id); (err == nil) != (wantErr == nil) {
-						t.Fatalf("%s op %d %s: Complete(%d) = %v want %v", pol.Name(), op, name, id, err, wantErr)
-					}
+				if err := cached.Complete(id); (err == nil) != (wantErr == nil) {
+					t.Fatalf("%s op %d: Complete(%d) = %v want %v", pol.Name(), op, id, err, wantErr)
 				}
 			case k < 85:
 				p := rng.Intn(nP)
 				want, wantErr := ref.Fail(p)
-				for name, arm := range arms {
-					got, err := arm.Fail(p)
-					if (err == nil) != (wantErr == nil) || len(got) != len(want) {
-						t.Fatalf("%s op %d %s: Fail(%d) = (%d, %v) want (%d, %v)",
-							pol.Name(), op, name, p, len(got), err, len(want), wantErr)
-					}
+				got, err := cached.Fail(p)
+				if (err == nil) != (wantErr == nil) || len(got) != len(want) {
+					t.Fatalf("%s op %d: Fail(%d) = (%d, %v) want (%d, %v)",
+						pol.Name(), op, p, len(got), err, len(want), wantErr)
 				}
 				for _, o := range want {
 					for i, id := range live {
@@ -130,18 +108,14 @@ func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 			case k < 93:
 				p := rng.Intn(nP)
 				wantErr := ref.Degrade(p)
-				for name, arm := range arms {
-					if err := arm.Degrade(p); (err == nil) != (wantErr == nil) {
-						t.Fatalf("%s op %d %s: Degrade(%d) = %v want %v", pol.Name(), op, name, p, err, wantErr)
-					}
+				if err := cached.Degrade(p); (err == nil) != (wantErr == nil) {
+					t.Fatalf("%s op %d: Degrade(%d) = %v want %v", pol.Name(), op, p, err, wantErr)
 				}
 			default:
 				p := rng.Intn(nP)
 				wantErr := ref.Recover(p)
-				for name, arm := range arms {
-					if err := arm.Recover(p); (err == nil) != (wantErr == nil) {
-						t.Fatalf("%s op %d %s: Recover(%d) = %v want %v", pol.Name(), op, name, p, err, wantErr)
-					}
+				if err := cached.Recover(p); (err == nil) != (wantErr == nil) {
+					t.Fatalf("%s op %d: Recover(%d) = %v want %v", pol.Name(), op, p, err, wantErr)
 				}
 			}
 		}
@@ -248,7 +222,7 @@ func TestScoreCacheIdentityAcrossObserveAndFastToggle(t *testing.T) {
 func TestScoreCacheReplicaConcurrentSmoke(t *testing.T) {
 	pred, ds := enginePredictor(t)
 	nP := ds.NumPlatforms()
-	rs, err := sched.NewReplicaSet(
+	rs, err := sched.NewReplicated(
 		sched.Config{NumPlatforms: nP, MaxColocation: 3, ScoreCache: true},
 		sched.ReplicaConfig{Replicas: 2, Shards: 1},
 		sched.MeanBoundPolicy{Eps: 0.1}, pred)
