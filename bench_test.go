@@ -422,8 +422,9 @@ func buildHP(d *dataset.Dataset, tr quantAdapter, split dataset.Split) any {
 // placementBench trains a bounds-enabled predictor and builds a
 // steady-state 24-platform cluster: every platform pre-loaded with two
 // long-running residents, so candidate scoring pays the full interference
-// fold the orchestrator sees under load.
-func placementBench(b *testing.B, disableBatch bool) (*sched.Scheduler, []sched.Job) {
+// fold the orchestrator sees under load. With scalar set the scheduler
+// sees only the predictor's scalar facet (scalarOnly).
+func placementBench(b *testing.B, scalar bool) (*sched.Scheduler, []sched.Job) {
 	b.Helper()
 	ds := GenerateDataset(DatasetConfig{
 		Seed: 1, NumWorkloads: 40, MaxDevices: 8, SetsPerDegree: 15,
@@ -439,11 +440,14 @@ func placementBench(b *testing.B, disableBatch bool) (*sched.Scheduler, []sched.
 	if err != nil {
 		b.Fatal(err)
 	}
+	var sp sched.Predictor = pred
+	if scalar {
+		sp = scalarOnly{pred}
+	}
 	s, err := sched.New(sched.Config{
 		NumPlatforms:  platforms,
 		MaxColocation: 4,
-		DisableBatch:  disableBatch,
-	}, sched.BoundPolicy{Eps: 0.1}, pred)
+	}, sched.BoundPolicy{Eps: 0.1}, sp)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -493,10 +497,6 @@ func runPlacementBench(b *testing.B, s *sched.Scheduler, wave []sched.Job) {
 // 24-platform scheduler scan both heads are consumed over: every workload
 // on every platform against the platform's resident set.
 func benchScoreSetup(b *testing.B) (*Predictor, []Query) {
-	return benchScoreSetupCfg(b, nil)
-}
-
-func benchScoreSetupCfg(b *testing.B, mutate func(*ModelConfig)) (*Predictor, []Query) {
 	b.Helper()
 	ds := GenerateDataset(DatasetConfig{
 		Seed: 1, NumWorkloads: 40, MaxDevices: 8, SetsPerDegree: 15,
@@ -508,9 +508,6 @@ func benchScoreSetupCfg(b *testing.B, mutate func(*ModelConfig)) (*Predictor, []
 	cfg := DefaultModelConfig(1)
 	cfg.Steps = 60
 	cfg.EvalEvery = 30
-	if mutate != nil {
-		mutate(&cfg)
-	}
 	pred, err := Train(ds, Options{Seed: 1, Model: &cfg, EnableBounds: true})
 	if err != nil {
 		b.Fatal(err)
@@ -585,28 +582,9 @@ func BenchmarkScoreFast24(b *testing.B) {
 	b.ReportMetric(float64(len(qs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
-// BenchmarkScoreFastF3224 additionally accumulates the mean (ranking)
-// head in float32 (ModelConfig.FastScoringF32); the feasibility head
-// stays float64.
-func BenchmarkScoreFastF3224(b *testing.B) {
-	pred, qs := benchScoreSetupCfg(b, func(cfg *ModelConfig) {
-		cfg.FastScoring = true
-		cfg.FastScoringF32 = true
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mean, bound, err := pred.ScoreBatch(qs, 0.1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkFloat = mean[0] + bound[0]
-	}
-	b.ReportMetric(float64(len(qs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkPlacementScalar24 scores every candidate platform with one
-// scalar BoundSeconds call — the pre-engine serving pattern.
+// BenchmarkPlacementScalar24 places through a scalar-only predictor: the
+// scheduler's adapter scores every query with one scalar BoundSeconds
+// call — the pre-engine serving pattern.
 func BenchmarkPlacementScalar24(b *testing.B) {
 	s, wave := placementBench(b, true)
 	runPlacementBench(b, s, wave)

@@ -47,8 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("engine: batch scoring %v, strategy best-fit, deadline-miss budget %.0f%%\n\n",
-		s.Batched(), 100*eps)
+	fmt.Printf("engine: strategy best-fit, deadline-miss budget %.0f%%\n\n", 100*eps)
 
 	wave1 := []sched.Job{
 		{Workload: 0, Deadline: 2.0}, {Workload: 3, Deadline: 5.0},

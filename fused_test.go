@@ -160,8 +160,8 @@ func TestScoreBatchWithoutBounds(t *testing.T) {
 
 // TestFusedWavePlacementMatchesScalar pins the mixed-policy acceptance
 // property on the real model: fused-wave scoring (one ScoreBatch per
-// candidate scan / wave) picks the identical platform as scalar ScoreDual
-// scoring, including across completions and waves.
+// candidate scan / wave) picks the identical platform as scalar scoring
+// of both heads, including across completions and waves.
 func TestFusedWavePlacementMatchesScalar(t *testing.T) {
 	pred, ds := enginePredictor(t)
 	for _, pol := range []sched.Policy{
@@ -171,17 +171,14 @@ func TestFusedWavePlacementMatchesScalar(t *testing.T) {
 		for _, strat := range []sched.Strategy{sched.LeastLoaded{}, sched.BestFit{}} {
 			cfg := sched.Config{NumPlatforms: ds.NumPlatforms(), MaxColocation: 3, Strategy: strat}
 			scalarCfg := cfg
-			scalarCfg.DisableBatch = true
+			scalarCfg.WaveChunk = 1
 			sf, err := sched.New(cfg, pol, pred)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss, err := sched.New(scalarCfg, pol, pred)
+			ss, err := sched.New(scalarCfg, pol, scalarOnly{pred})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !sf.Fused() || ss.Batched() {
-				t.Fatal("fused/scalar wiring wrong")
 			}
 			jrng := rand.New(rand.NewSource(23))
 			var jobs []sched.Job

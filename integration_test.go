@@ -177,26 +177,29 @@ func enginePredictor(t *testing.T) (*Predictor, *Dataset) {
 	return engineShared.pred, engineShared.ds
 }
 
+// scalarOnly hides the predictor's batch and fused facets, so the
+// scheduler scores it one scalar call per query — the reference arm the
+// batched placement paths must be decision-identical to.
+type scalarOnly struct{ sched.Predictor }
+
 // TestBatchPlacementMatchesScalar pins the acceptance property on the real
 // model: batch-scored placement (one BoundBatch per candidate scan, wave
 // pre-scoring in PlaceAll) picks the identical platform as scalar scoring
+// — every job scored afresh against every candidate, one chunk per job —
 // for the same policy and job stream, including across completions.
 func TestBatchPlacementMatchesScalar(t *testing.T) {
 	pred, ds := enginePredictor(t)
 	for _, pol := range []sched.Policy{sched.MeanPolicy{}, sched.BoundPolicy{Eps: 0.1}} {
 		cfg := sched.Config{NumPlatforms: ds.NumPlatforms(), MaxColocation: 3}
 		scalarCfg := cfg
-		scalarCfg.DisableBatch = true
+		scalarCfg.WaveChunk = 1
 		sb, err := sched.New(cfg, pol, pred)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := sched.New(scalarCfg, pol, pred)
+		ss, err := sched.New(scalarCfg, pol, scalarOnly{pred})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !sb.Batched() || ss.Batched() {
-			t.Fatal("batch wiring wrong")
 		}
 		jrng := rand.New(rand.NewSource(5))
 		var jobs []sched.Job

@@ -21,14 +21,6 @@ package core
 // tolerance-aware identity tests assert.
 const FastScoreMaxRelErr = 1e-9
 
-// FastF32MaxRelErr is the corresponding bound for the mean (ranking) head
-// when Config.FastScoringF32 is set: float32 accumulation rounds each of
-// the 32 products and partial sums at 2^-24, giving a log-domain error
-// ≲ 32·2^-24·Σ|terms| ≈ 1e-5 absolute, hence ≈ 1e-5 relative after exp.
-// Documented bound 1e-3 (margin for ill-conditioned spans); the bound
-// head is always float64 and stays within FastScoreMaxRelErr.
-const FastF32MaxRelErr = 1e-3
-
 // PredictFusedBatchFast is the opt-in approximate twin of
 // PredictFusedBatch: same signature, same span detection, same worker
 // fan-out and scratch (runFusedSpans), but the per-span arithmetic trades
@@ -38,8 +30,7 @@ const FastF32MaxRelErr = 1e-3
 // lanes at a time; elsewhere a blocked plain-mul loop loads the platform
 // vectors once per four queries and ExpFast replaces math.Exp. Every
 // query's result is within FastScoreMaxRelErr relative of the exact
-// kernel's (FastF32MaxRelErr for the mean head under
-// Config.FastScoringF32).
+// kernel's.
 //
 // Only the default paired configuration (both models log-residual,
 // rank 32, same interference structure) has a distinct fast kernel;
@@ -63,8 +54,6 @@ func PredictFusedBatchFast(mean, quant *Model, qs []Query, quantHead int, boundO
 	if len(qs) == 0 {
 		return
 	}
-	f32 := mean.Cfg.FastScoringF32
-	vec := useFastVec && !f32 // the f32 option keeps the scalar reference kernel
 	runSpan := func(sp qspan, peffM, peffQ []float64) {
 		q0 := qs[sp.lo]
 		effectivePlatformPairFast(mean, quant, peffM, peffQ, q0.Platform, q0.Interferers, quantHead)
@@ -75,7 +64,7 @@ func PredictFusedBatchFast(mean, quant *Model, qs []Query, quantHead int, boundO
 		bWm, bPm := mean.Baseline.W, mean.Baseline.P[q0.Platform]
 		bWq, bPq := quant.Baseline.W, quant.Baseline.P[q0.Platform]
 		peffM, peffQ = peffM[:32], peffQ[:32]
-		if vec {
+		if useFastVec {
 			// Baselines (and the hoisted conformal offset) land first so
 			// the vector dot pass is a pure accumulate; the offset rides
 			// along before exp exactly as in the exact kernel.
@@ -92,72 +81,48 @@ func PredictFusedBatchFast(mean, quant *Model, qs []Query, quantHead int, boundO
 			return
 		}
 		i := sp.lo
-		if f32 {
-			var pm32 [32]float32
+		// Four queries per block: the two peff vectors stream through
+		// registers once per block, so the load traffic per query
+		// drops from 4 streams to 2.5 — the exact kernel's eight-chain
+		// pair dot is load-bound, and this is where the scalar dot
+		// speedup comes from. Plain mul+add on purpose: math.FMA is a
+		// branch-plus-call under GOAMD64=v1 (see fastmath.go).
+		for ; i+4 <= sp.hi; i += 4 {
+			w0, w1, w2, w3 := qs[i].Workload, qs[i+1].Workload, qs[i+2].Workload, qs[i+3].Workload
+			a0 := wDataM[w0*wColsM:][:32]
+			a1 := wDataM[w1*wColsM:][:32]
+			a2 := wDataM[w2*wColsM:][:32]
+			a3 := wDataM[w3*wColsM:][:32]
+			c0 := wDataQ[w0*wColsQ+wloQ:][:32]
+			c1 := wDataQ[w1*wColsQ+wloQ:][:32]
+			c2 := wDataQ[w2*wColsQ+wloQ:][:32]
+			c3 := wDataQ[w3*wColsQ+wloQ:][:32]
+			var m0, m1, m2, m3, u0, u1, u2, u3 float64
 			for e := 0; e < 32; e++ {
-				pm32[e] = float32(peffM[e])
+				pm, pq := peffM[e], peffQ[e]
+				m0 += a0[e] * pm
+				m1 += a1[e] * pm
+				m2 += a2[e] * pm
+				m3 += a3[e] * pm
+				u0 += c0[e] * pq
+				u1 += c1[e] * pq
+				u2 += c2[e] * pq
+				u3 += c3[e] * pq
 			}
-			if useFastVec {
-				// The always-float64 bound head still takes the vector
-				// pass; only the mean head pays the scalar f32 loop.
-				for ; i < sp.hi; i++ {
-					w := qs[i].Workload
-					boundSec[i] = bWq[w] + bPq + off
-					meanSec[i] = ExpFast(bWm[w] + bPm + dot32F32(wDataM[w*wColsM:], &pm32))
-				}
-				dotSpanAVX2(&wDataQ[wloQ], wColsQ, &qs[sp.lo], sp.hi-sp.lo, &peffQ[0], &boundSec[sp.lo])
-				expSpan(boundSec[sp.lo:sp.hi])
-				return
-			}
-			for ; i < sp.hi; i++ {
-				w := qs[i].Workload
-				meanSec[i] = bWm[w] + bPm + dot32F32(wDataM[w*wColsM:], &pm32)
-				boundSec[i] = bWq[w] + bPq + dot32Fast(wDataQ[w*wColsQ+wloQ:], peffQ)
-			}
-		} else {
-			// Four queries per block: the two peff vectors stream through
-			// registers once per block, so the load traffic per query
-			// drops from 4 streams to 2.5 — the exact kernel's eight-chain
-			// pair dot is load-bound, and this is where the scalar dot
-			// speedup comes from. Plain mul+add on purpose: math.FMA is a
-			// branch-plus-call under GOAMD64=v1 (see fastmath.go).
-			for ; i+4 <= sp.hi; i += 4 {
-				w0, w1, w2, w3 := qs[i].Workload, qs[i+1].Workload, qs[i+2].Workload, qs[i+3].Workload
-				a0 := wDataM[w0*wColsM:][:32]
-				a1 := wDataM[w1*wColsM:][:32]
-				a2 := wDataM[w2*wColsM:][:32]
-				a3 := wDataM[w3*wColsM:][:32]
-				c0 := wDataQ[w0*wColsQ+wloQ:][:32]
-				c1 := wDataQ[w1*wColsQ+wloQ:][:32]
-				c2 := wDataQ[w2*wColsQ+wloQ:][:32]
-				c3 := wDataQ[w3*wColsQ+wloQ:][:32]
-				var m0, m1, m2, m3, u0, u1, u2, u3 float64
-				for e := 0; e < 32; e++ {
-					pm, pq := peffM[e], peffQ[e]
-					m0 += a0[e] * pm
-					m1 += a1[e] * pm
-					m2 += a2[e] * pm
-					m3 += a3[e] * pm
-					u0 += c0[e] * pq
-					u1 += c1[e] * pq
-					u2 += c2[e] * pq
-					u3 += c3[e] * pq
-				}
-				meanSec[i] = bWm[w0] + bPm + m0
-				meanSec[i+1] = bWm[w1] + bPm + m1
-				meanSec[i+2] = bWm[w2] + bPm + m2
-				meanSec[i+3] = bWm[w3] + bPm + m3
-				boundSec[i] = bWq[w0] + bPq + u0
-				boundSec[i+1] = bWq[w1] + bPq + u1
-				boundSec[i+2] = bWq[w2] + bPq + u2
-				boundSec[i+3] = bWq[w3] + bPq + u3
-			}
-			for ; i < sp.hi; i++ {
-				w := qs[i].Workload
-				dM, dQ := dot32Pair(wDataM[w*wColsM:], peffM, wDataQ[w*wColsQ+wloQ:], peffQ)
-				meanSec[i] = bWm[w] + bPm + dM
-				boundSec[i] = bWq[w] + bPq + dQ
-			}
+			meanSec[i] = bWm[w0] + bPm + m0
+			meanSec[i+1] = bWm[w1] + bPm + m1
+			meanSec[i+2] = bWm[w2] + bPm + m2
+			meanSec[i+3] = bWm[w3] + bPm + m3
+			boundSec[i] = bWq[w0] + bPq + u0
+			boundSec[i+1] = bWq[w1] + bPq + u1
+			boundSec[i+2] = bWq[w2] + bPq + u2
+			boundSec[i+3] = bWq[w3] + bPq + u3
+		}
+		for ; i < sp.hi; i++ {
+			w := qs[i].Workload
+			dM, dQ := dot32Pair(wDataM[w*wColsM:], peffM, wDataQ[w*wColsQ+wloQ:], peffQ)
+			meanSec[i] = bWm[w] + bPm + dM
+			boundSec[i] = bWq[w] + bPq + dQ
 		}
 		for i = sp.lo; i < sp.hi; i++ {
 			meanSec[i] = ExpFast(meanSec[i])

@@ -160,32 +160,6 @@ func TestFastFusedMatchesExactWithinBound(t *testing.T) {
 	t.Logf("worst relative error: mean %.3e, bound %.3e (bound %.1e)", worstM, worstB, FastScoreMaxRelErr)
 }
 
-// With FastScoringF32 the mean head loosens to the float32 bound; the
-// feasibility/bound head must stay float64-tight.
-func TestFastFusedF32WithinBound(t *testing.T) {
-	mean, quant, ds := fastTestModels(t, func(c *Config) { c.FastScoringF32 = true })
-	qs := fastTestQueries(ds)
-	n := len(qs)
-	em, eb := make([]float64, n), make([]float64, n)
-	fm, fb := make([]float64, n), make([]float64, n)
-	PredictFusedBatch(mean, quant, qs, 0, testBoundOffset, em, eb)
-	PredictFusedBatchFast(mean, quant, qs, 0, testBoundOffset, fm, fb)
-	var worstM float64
-	for i := range qs {
-		if re := relErr(fm[i], em[i]); re > FastF32MaxRelErr {
-			t.Fatalf("query %d: f32 mean rel err %.3e exceeds %.1e", i, re, FastF32MaxRelErr)
-		} else if re > worstM {
-			worstM = re
-		}
-		if !math.IsInf(eb[i], 1) {
-			if re := relErr(fb[i], eb[i]); re > FastScoreMaxRelErr {
-				t.Fatalf("query %d: bound head must stay float64-tight, rel err %.3e", i, re)
-			}
-		}
-	}
-	t.Logf("worst f32 mean relative error %.3e (bound %.1e)", worstM, FastF32MaxRelErr)
-}
-
 // Non-paired configurations (here: rank 16) must fall through to the
 // exact kernel bitwise.
 func TestFastFusedFallbackNonPaired(t *testing.T) {

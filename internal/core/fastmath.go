@@ -107,39 +107,3 @@ func expSpan(v []float64) {
 		v[i] = ExpFast(v[i])
 	}
 }
-
-// dot32Fast is a rank-32 dot in four plain mul+add chains — the scalar
-// fast path's single-model kernel. Reassociates relative to dot32 only
-// through the chain regrouping, so it differs from the exact dot by at
-// most a few roundings of the term magnitude sum (≤ 32·2^-53·Σ|aᵢbᵢ|).
-func dot32Fast(a, b []float64) float64 {
-	a = a[:32]
-	b = b[:32]
-	var s0, s1, s2, s3 float64
-	for i := 0; i < 32; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	return s0 + s1 + s2 + s3
-}
-
-// dot32F32 accumulates a rank-32 dot in float32 — the FastScoringF32
-// ranking-head option. Eight chains keep the short-latency float32 adds
-// pipelined; elements are narrowed on load.
-func dot32F32(a []float64, b *[32]float32) float64 {
-	a = a[:32]
-	var s0, s1, s2, s3, s4, s5, s6, s7 float32
-	for i := 0; i < 32; i += 8 {
-		s0 += float32(a[i]) * b[i]
-		s1 += float32(a[i+1]) * b[i+1]
-		s2 += float32(a[i+2]) * b[i+2]
-		s3 += float32(a[i+3]) * b[i+3]
-		s4 += float32(a[i+4]) * b[i+4]
-		s5 += float32(a[i+5]) * b[i+5]
-		s6 += float32(a[i+6]) * b[i+6]
-		s7 += float32(a[i+7]) * b[i+7]
-	}
-	return float64(((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)))
-}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -205,5 +206,21 @@ func TestExtSchedQuick(t *testing.T) {
 	checkTables(t, "ext-sched", tables)
 	if len(tables[0].Rows) != 3 {
 		t.Fatalf("ext-sched rows = %d (want 3 policies)", len(tables[0].Rows))
+	}
+	// The experiment's predictor is scalar-only, so these rows pin the
+	// scheduler's scalar adapter on a trained model. Recorded on amd64;
+	// other architectures may fuse multiply-add in training.
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	want := [][]string{
+		{"mean", "48", "0", "8.2%", "40.7%"},
+		{"mean*1.3", "48", "0", "0.1%", "49.2%"},
+		{"bound(eps=0.10)", "48", "0", "0.5%", "44.8%"},
+	}
+	for i, row := range tables[0].Rows {
+		if strings.Join(row, "/") != strings.Join(want[i], "/") {
+			t.Errorf("ext-sched row %d = %v, want %v", i, row, want[i])
+		}
 	}
 }

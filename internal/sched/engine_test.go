@@ -38,6 +38,12 @@ func (b *batchPred) BoundSecondsBatch(qs []Query, eps float64) []float64 {
 	return out
 }
 
+// scalarOnly hides a predictor's batch facet, so the scheduler scores it
+// one scalar call per query — the reference arm the batched paths must be
+// decision-identical to. With WaveChunk 1 every job is also scored afresh
+// against every candidate.
+type scalarOnly struct{ Predictor }
+
 // variedPred is a scalar predictor with enough structure that different
 // platforms, workloads, and interference levels all score differently.
 type variedPred struct{ base []float64 }
@@ -85,12 +91,11 @@ func TestBatchScalarDecisionIdentical(t *testing.T) {
 		strat := strategies[rng.Intn(len(strategies))]
 		cfg := Config{NumPlatforms: nP, MaxColocation: 1 + rng.Intn(3), MaxInFlight: 2 + rng.Intn(8), Strategy: strat}
 		scalarCfg := cfg
-		scalarCfg.DisableBatch = true
-		sb := mustNew(t, cfg, pol, &batchPred{Predictor: variedPred{base}})
-		ss := mustNew(t, scalarCfg, pol, &batchPred{Predictor: variedPred{base}})
-		if !sb.Batched() || ss.Batched() {
-			t.Fatal("batch path not wired as expected")
-		}
+		scalarCfg.WaveChunk = 1
+		batch := &batchPred{Predictor: variedPred{base}}
+		scalar := &batchPred{Predictor: variedPred{base}}
+		sb := mustNew(t, cfg, pol, batch)
+		ss := mustNew(t, scalarCfg, pol, scalarOnly{scalar})
 		var live []JobID
 		for i := 0; i < 60; i++ {
 			if len(live) > 0 && rng.Float64() < 0.3 {
@@ -118,6 +123,9 @@ func TestBatchScalarDecisionIdentical(t *testing.T) {
 			if ab.Placed() {
 				live = append(live, ab.ID)
 			}
+		}
+		if batch.batchCalls.Load() == 0 || scalar.batchCalls.Load() != 0 {
+			t.Fatal("batch path not wired as expected")
 		}
 	}
 }

@@ -156,7 +156,7 @@ func TestPlacementSkipsUnavailable(t *testing.T) {
 // for single-head policies and the strategy tie-break in general.
 func TestDegradedSteersPlacement(t *testing.T) {
 	for _, strat := range []Strategy{LeastLoaded{}, BestFit{}, UtilizationAware{}} {
-		s := mustNew(t, Config{NumPlatforms: 2, MaxColocation: 4, Strategy: strat, DisableBatch: true},
+		s := mustNew(t, Config{NumPlatforms: 2, MaxColocation: 4, Strategy: strat},
 			MeanPolicy{}, flatPred{v: 1})
 		if err := s.Degrade(0); err != nil {
 			t.Fatal(err)
@@ -172,7 +172,7 @@ func TestDegradedSteersPlacement(t *testing.T) {
 	// The padding is a feasibility penalty, not just a tie-break: a job the
 	// degraded platform could serve at score 1 is shed once the padded
 	// score clears the deadline.
-	s := mustNew(t, Config{NumPlatforms: 1, MaxColocation: 4, DegradedPenalty: 2, DisableBatch: true},
+	s := mustNew(t, Config{NumPlatforms: 1, MaxColocation: 4, DegradedPenalty: 2},
 		MeanPolicy{}, flatPred{v: 1})
 	if a := s.Place(Job{Workload: 0, Deadline: 1.5}); !a.Placed() {
 		t.Fatalf("healthy baseline infeasible: %+v", a)
@@ -206,9 +206,11 @@ func TestDegradedDecisionIdentity(t *testing.T) {
 		strat := strategies[rng.Intn(len(strategies))]
 		cfg := Config{NumPlatforms: nP, MaxColocation: 2, Strategy: strat, DegradedPenalty: 1.3}
 		scalarCfg := cfg
-		scalarCfg.DisableBatch = true
-		sb := mustNew(t, cfg, pol, &batchPred{Predictor: variedPred{base}})
-		ss := mustNew(t, scalarCfg, pol, &batchPred{Predictor: variedPred{base}})
+		scalarCfg.WaveChunk = 1
+		batch := &batchPred{Predictor: variedPred{base}}
+		scalar := &batchPred{Predictor: variedPred{base}}
+		sb := mustNew(t, cfg, pol, batch)
+		ss := mustNew(t, scalarCfg, pol, scalarOnly{scalar})
 		for i := 0; i < 80; i++ {
 			p := rng.Intn(nP)
 			switch r := rng.Float64(); {
@@ -236,6 +238,9 @@ func TestDegradedDecisionIdentity(t *testing.T) {
 						seed, i, ab, as, pol.Name(), strat.Name())
 				}
 			}
+		}
+		if batch.batchCalls.Load() == 0 || scalar.batchCalls.Load() != 0 {
+			t.Fatal("batch path not wired as expected")
 		}
 	}
 }

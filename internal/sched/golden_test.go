@@ -85,12 +85,15 @@ func singleReplicaSequence(t *testing.T, seed int64) string {
 		Strategy:      strat,
 		Breaker:       BreakerConfig{Threshold: 0.5, Window: 4, Probation: 2},
 	}
-	cfg.DisableBatch = rng.Float64() < 0.33
+	scalar := rng.Float64() < 0.33
 	var pred Predictor
 	if rng.Float64() < 0.5 {
 		pred = &fusedFake{batchPred: &batchPred{Predictor: variedPred{base}}}
 	} else {
 		pred = &batchPred{Predictor: variedPred{base}}
+	}
+	if scalar {
+		pred = scalarOnly{pred}
 	}
 	s := mustNew(t, cfg, pol, pred)
 	d := newDecisionDigest()

@@ -1,27 +1,23 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Policy ranks candidate platforms for a job. Score returns the predicted
-// runtime metric used for feasibility (compared against the deadline) —
-// lower is better; returning +Inf marks the platform infeasible.
+// Policy scores candidate placements, a whole candidate set (or wave) per
+// call. Score fills two facets for every query: feas[i] is the
+// feasibility value of qs[i] — compared against the deadline and reported
+// as the assignment's Budget; lower is better, +Inf marks the candidate
+// infeasible — and rank[i] is what strategies order feasible candidates
+// by. Single-head policies set rank = feas; the mixed-head policies gate
+// feasibility on the conformal bound but rank by the (padded) mean. The
+// values must be fully determined by the query (deadline feasibility is
+// the scheduler's concern), so a wave pre-scored once is decision-identical
+// to scoring each job afresh. len(feas) == len(rank) == len(qs).
 type Policy interface {
 	Name() string
-	Score(pred Predictor, job Job, platform int, residents []int) float64
-}
-
-// BatchPolicy scores a whole candidate set in one predictor call. The
-// scheduler uses it whenever the predictor is a BatchPredictor — for a
-// single job's platform scan and for whole waves of jobs at once, so the
-// score must be fully determined by the query (deadline feasibility is the
-// scheduler's concern). ScoreBatch must assign out[i] the same value Score
-// would return for qs[i] (up to the predictor's own batch-vs-scalar
-// floating-point reassociation), which keeps batch-scored placement
-// decision-identical to scalar scoring.
-type BatchPolicy interface {
-	Policy
-	// ScoreBatch fills out[i] with the score of qs[i]. len(out) == len(qs).
-	ScoreBatch(pred BatchPredictor, qs []Query, out []float64)
+	Score(pred BatchPredictor, qs []Query, feas, rank []float64)
 }
 
 // MeanPolicy places on the expected runtime — the natural choice when only
@@ -33,13 +29,9 @@ type MeanPolicy struct{}
 func (MeanPolicy) Name() string { return "mean" }
 
 // Score implements Policy.
-func (MeanPolicy) Score(pred Predictor, job Job, platform int, residents []int) float64 {
-	return pred.EstimateSeconds(job.Workload, platform, residents)
-}
-
-// ScoreBatch implements BatchPolicy.
-func (MeanPolicy) ScoreBatch(pred BatchPredictor, qs []Query, out []float64) {
-	copy(out, pred.EstimateSecondsBatch(qs))
+func (MeanPolicy) Score(pred BatchPredictor, qs []Query, feas, rank []float64) {
+	copy(feas, pred.EstimateSecondsBatch(qs))
+	copy(rank, feas)
 }
 
 // BoundPolicy places on the conformal (1−eps)-sufficient runtime bound,
@@ -49,15 +41,11 @@ type BoundPolicy struct{ Eps float64 }
 // Name implements Policy.
 func (p BoundPolicy) Name() string { return fmt.Sprintf("bound(eps=%.2f)", p.Eps) }
 
-// Score implements Policy.
-func (p BoundPolicy) Score(pred Predictor, job Job, platform int, residents []int) float64 {
-	return pred.BoundSeconds(job.Workload, platform, residents, p.Eps)
-}
-
-// ScoreBatch implements BatchPolicy; all candidates share one conformal
-// calibration fetch.
-func (p BoundPolicy) ScoreBatch(pred BatchPredictor, qs []Query, out []float64) {
-	copy(out, pred.BoundSecondsBatch(qs, p.Eps))
+// Score implements Policy; all candidates share one conformal calibration
+// fetch.
+func (p BoundPolicy) Score(pred BatchPredictor, qs []Query, feas, rank []float64) {
+	copy(feas, pred.BoundSecondsBatch(qs, p.Eps))
+	copy(rank, feas)
 }
 
 // PaddedMeanPolicy is the common heuristic alternative: mean estimate
@@ -69,36 +57,12 @@ type PaddedMeanPolicy struct{ Factor float64 }
 func (p PaddedMeanPolicy) Name() string { return fmt.Sprintf("mean*%.1f", p.Factor) }
 
 // Score implements Policy.
-func (p PaddedMeanPolicy) Score(pred Predictor, job Job, platform int, residents []int) float64 {
-	return pred.EstimateSeconds(job.Workload, platform, residents) * p.Factor
-}
-
-// ScoreBatch implements BatchPolicy.
-func (p PaddedMeanPolicy) ScoreBatch(pred BatchPredictor, qs []Query, out []float64) {
-	copy(out, pred.EstimateSecondsBatch(qs))
-	for i := range out {
-		out[i] *= p.Factor
+func (p PaddedMeanPolicy) Score(pred BatchPredictor, qs []Query, feas, rank []float64) {
+	copy(feas, pred.EstimateSecondsBatch(qs))
+	for i := range feas {
+		feas[i] *= p.Factor
 	}
-}
-
-// DualPolicy scores the two facets of a placement decision separately,
-// from both predictor heads: a feasibility value (compared against the
-// deadline, and reported as the assignment's Budget) and a ranking value
-// (what strategies order candidates by). Single-head policies collapse the
-// two — for them the scheduler sets Rank = Score — while a dual policy can
-// gate feasibility on the conservative conformal bound yet rank platforms
-// by the cheap mean estimate. When the predictor implements FusedPredictor
-// both facets of a whole wave come out of one fused pass.
-type DualPolicy interface {
-	Policy
-	// ScoreDual is the scalar reference path: the feasibility score and the
-	// ranking score of one candidate. Batch-scored placement must be
-	// decision-identical to it (up to predictor batch-vs-scalar float
-	// reassociation).
-	ScoreDual(pred Predictor, job Job, platform int, residents []int) (feas, rank float64)
-	// ScoreDualBatch fills feas[i] and rank[i] for qs[i].
-	// len(feas) == len(rank) == len(qs).
-	ScoreDualBatch(pred BatchPredictor, qs []Query, feas, rank []float64)
+	copy(rank, feas)
 }
 
 // MeanBoundPolicy is the mixed-head policy the fused scoring path exists
@@ -112,33 +76,9 @@ type MeanBoundPolicy struct{ Eps float64 }
 // Name implements Policy.
 func (p MeanBoundPolicy) Name() string { return fmt.Sprintf("mean|bound(eps=%.2f)", p.Eps) }
 
-// Score implements Policy: the feasibility facet alone, for schedulers
-// that treat the policy as single-head.
-func (p MeanBoundPolicy) Score(pred Predictor, job Job, platform int, residents []int) float64 {
-	return pred.BoundSeconds(job.Workload, platform, residents, p.Eps)
-}
-
-// ScoreBatch implements BatchPolicy (feasibility facet alone).
-func (p MeanBoundPolicy) ScoreBatch(pred BatchPredictor, qs []Query, out []float64) {
-	copy(out, pred.BoundSecondsBatch(qs, p.Eps))
-}
-
-// ScoreDual implements DualPolicy.
-func (p MeanBoundPolicy) ScoreDual(pred Predictor, job Job, platform int, residents []int) (feas, rank float64) {
-	rank = pred.EstimateSeconds(job.Workload, platform, residents)
-	feas = pred.BoundSeconds(job.Workload, platform, residents, p.Eps)
-	return feas, rank
-}
-
-// ScoreDualBatch implements DualPolicy: one fused two-head pass when the
-// predictor supports it, two vectorized passes otherwise.
-func (p MeanBoundPolicy) ScoreDualBatch(pred BatchPredictor, qs []Query, feas, rank []float64) {
-	if fp, ok := pred.(FusedPredictor); ok {
-		fp.ScoreSecondsBatch(qs, p.Eps, rank, feas)
-		return
-	}
-	copy(rank, pred.EstimateSecondsBatch(qs))
-	copy(feas, pred.BoundSecondsBatch(qs, p.Eps))
+// Score implements Policy.
+func (p MeanBoundPolicy) Score(pred BatchPredictor, qs []Query, feas, rank []float64) {
+	scoreHeads(pred, qs, p.Eps, rank, feas)
 }
 
 // PaddedBoundPolicy gates feasibility on the conformal bound but ranks by
@@ -155,46 +95,40 @@ func (p PaddedBoundPolicy) Name() string {
 	return fmt.Sprintf("padded*%.1f|bound(eps=%.2f)", p.Factor, p.Eps)
 }
 
-// Score implements Policy (feasibility facet alone).
-func (p PaddedBoundPolicy) Score(pred Predictor, job Job, platform int, residents []int) float64 {
-	return pred.BoundSeconds(job.Workload, platform, residents, p.Eps)
-}
-
-// ScoreBatch implements BatchPolicy (feasibility facet alone).
-func (p PaddedBoundPolicy) ScoreBatch(pred BatchPredictor, qs []Query, out []float64) {
-	copy(out, pred.BoundSecondsBatch(qs, p.Eps))
-}
-
-// ScoreDual implements DualPolicy.
-func (p PaddedBoundPolicy) ScoreDual(pred Predictor, job Job, platform int, residents []int) (feas, rank float64) {
-	rank = pred.EstimateSeconds(job.Workload, platform, residents) * p.Factor
-	feas = pred.BoundSeconds(job.Workload, platform, residents, p.Eps)
-	return feas, rank
-}
-
-// ScoreDualBatch implements DualPolicy.
-func (p PaddedBoundPolicy) ScoreDualBatch(pred BatchPredictor, qs []Query, feas, rank []float64) {
-	if fp, ok := pred.(FusedPredictor); ok {
-		fp.ScoreSecondsBatch(qs, p.Eps, rank, feas)
-	} else {
-		copy(rank, pred.EstimateSecondsBatch(qs))
-		copy(feas, pred.BoundSecondsBatch(qs, p.Eps))
-	}
+// Score implements Policy.
+func (p PaddedBoundPolicy) Score(pred BatchPredictor, qs []Query, feas, rank []float64) {
+	scoreHeads(pred, qs, p.Eps, rank, feas)
 	for i := range rank {
 		rank[i] *= p.Factor
 	}
 }
 
+// scoreHeads fills mean[i] with the expected runtime and bound[i] with the
+// 1−eps budget of qs[i]: one fused two-head pass when the predictor
+// supports it, two batch passes otherwise.
+func scoreHeads(pred BatchPredictor, qs []Query, eps float64, mean, bound []float64) {
+	if fp, ok := pred.(FusedPredictor); ok {
+		fp.ScoreSecondsBatch(qs, eps, mean, bound)
+		return
+	}
+	copy(mean, pred.EstimateSecondsBatch(qs))
+	copy(bound, pred.BoundSecondsBatch(qs, eps))
+}
+
 // ParsePolicy resolves a policy by name: "mean", "padded" (mean×factor),
 // "bound" (conformal 1−eps budget), or the mixed-head policies
 // "mean-bound" (rank on mean, feasibility on bound) and "padded-bound"
-// (rank on padded mean, feasibility on bound).
+// (rank on padded mean, feasibility on bound). A factor ≤ 0 means the
+// default padding (1.3); a non-finite factor is an error.
 func ParsePolicy(name string, eps, factor float64) (Policy, error) {
 	needEps := func() error {
 		if !(eps > 0 && eps < 1) {
 			return fmt.Errorf("sched: %s policy needs eps in (0,1), got %v", name, eps)
 		}
 		return nil
+	}
+	if math.IsNaN(factor) || math.IsInf(factor, 0) {
+		return nil, fmt.Errorf("sched: padding factor must be finite, got %v", factor)
 	}
 	if factor <= 0 {
 		factor = 1.3

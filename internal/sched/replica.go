@@ -68,9 +68,9 @@ type Replica struct {
 // platform-major so each platform's resident set (and therefore its
 // interference term) is folded once, per model — and eagerly re-scores a
 // platform dirtied by a placement for the chunk's remaining jobs in one
-// wide span. Dual-head policies fill both the feasibility and ranking
-// facets from the same pass (one fused call when the predictor supports
-// it).
+// wide span. The policy fills both the feasibility and ranking facets
+// from the same pass (one fused call for the mixed-head policies when the
+// predictor supports it).
 func (r *Replica) PlaceAll(jobs []Job) []Assignment {
 	// Observability is guarded per-site so the disabled path never calls
 	// time.Now: one predictable branch per chunk, zero allocations.
@@ -220,14 +220,6 @@ func (r *Replica) placeChunk(jobs []Job, out []Assignment) {
 		r.setView(p, set.store.load(p))
 		r.slotOf[p] = si
 	}
-	if set.bpred == nil {
-		for i, j := range jobs {
-			out[i] = r.placeOne(j, shard)
-		}
-		return
-	}
-
-	dual := set.dpolicy != nil
 	nS, nJ := len(shard), len(jobs)
 	sc := &r.scratch
 	sc.reserve(nS, nJ)
@@ -256,7 +248,7 @@ func (r *Replica) placeChunk(jobs []Job, out []Assignment) {
 	scoreAt := sc.scoreAt[:nS*nJ]
 	rankAt := sc.rankAt[:nS*nJ]
 	if set.cache != nil {
-		r.prescoreChunkCached(jobs, shard, prescored, scoreAt, rankAt, dual)
+		r.prescoreChunkCached(jobs, shard, prescored, scoreAt, rankAt)
 	} else {
 		pre := sc.pre[:len(qs)]
 		preRank := sc.preRank[:len(qs)]
@@ -264,11 +256,7 @@ func (r *Replica) placeChunk(jobs []Job, out []Assignment) {
 		if set.met != nil {
 			scoreStart = time.Now()
 		}
-		if dual {
-			set.dpolicy.ScoreDualBatch(set.bpred, qs, pre, preRank)
-		} else {
-			set.bpolicy.ScoreBatch(set.bpred, qs, pre)
-		}
+		set.policy.Score(set.pred, qs, pre, preRank)
 		if set.met != nil {
 			set.met.ScoreBatch.ObserveSince(scoreStart)
 		}
@@ -285,9 +273,7 @@ func (r *Replica) placeChunk(jobs []Job, out []Assignment) {
 				continue
 			}
 			copy(scoreAt[si*nJ:(si+1)*nJ], pre[next:next+nJ])
-			if dual {
-				copy(rankAt[si*nJ:(si+1)*nJ], preRank[next:next+nJ])
-			}
+			copy(rankAt[si*nJ:(si+1)*nJ], preRank[next:next+nJ])
 			next += nJ
 		}
 	}
@@ -310,18 +296,13 @@ func (r *Replica) placeChunk(jobs []Job, out []Assignment) {
 				if v.load+1 > v.cap {
 					continue
 				}
-				c := Candidate{
+				cands = append(cands, Candidate{
 					Platform: p,
 					Load:     v.load,
 					Score:    scoreAt[si*nJ+j],
+					Rank:     rankAt[si*nJ+j],
 					Degraded: v.degraded,
-				}
-				if dual {
-					c.Rank = rankAt[si*nJ+j]
-				} else {
-					c.Rank = c.Score
-				}
-				cands = append(cands, c)
+				})
 				snaps = append(snaps, v.ks)
 			}
 			a, stale := r.commitBest(job, cands, snaps, placeable, tries)
@@ -359,7 +340,7 @@ func (r *Replica) placeChunk(jobs []Job, out []Assignment) {
 // per column. The scoring epoch is captured once for the chunk, so a
 // concurrent Observe publish mid-chunk narrows — never widens — the window
 // of mixed-snapshot scores the uncached path already tolerates.
-func (r *Replica) prescoreChunkCached(jobs []Job, shard []int, prescored []bool, scoreAt, rankAt []float64, dual bool) {
+func (r *Replica) prescoreChunkCached(jobs []Job, shard []int, prescored []bool, scoreAt, rankAt []float64) {
 	set := r.set
 	nJ := len(jobs)
 	sc := &r.scratch
@@ -408,12 +389,7 @@ func (r *Replica) prescoreChunkCached(jobs []Job, shard []int, prescored []bool,
 		if set.met != nil {
 			scoreStart = time.Now()
 		}
-		if dual {
-			set.dpolicy.ScoreDualBatch(set.bpred, qs, missFeas, missRank)
-		} else {
-			set.bpolicy.ScoreBatch(set.bpred, qs, missFeas)
-			copy(missRank, missFeas)
-		}
+		set.policy.Score(set.pred, qs, missFeas, missRank)
 		if set.met != nil {
 			set.met.ScoreBatch.ObserveSince(scoreStart)
 		}
@@ -444,9 +420,7 @@ func (r *Replica) prescoreChunkCached(jobs []Job, shard []int, prescored []bool,
 		for j := 0; j < nJ; j++ {
 			d := sc.dIdx[j]
 			scoreAt[si*nJ+j] = sc.colFeas[base+d]
-			if dual {
-				rankAt[si*nJ+j] = sc.colRank[base+d]
-			}
+			rankAt[si*nJ+j] = sc.colRank[base+d]
 		}
 	}
 	if set.rec != nil {
@@ -463,7 +437,6 @@ func (r *Replica) prescoreChunkCached(jobs []Job, shard []int, prescored []bool,
 // touching the predictor.
 func (r *Replica) rescoreColumn(p int, jobs []Job, from int, scoreAt, rankAt []float64) {
 	set := r.set
-	dual := set.dpolicy != nil
 	nJ := len(jobs)
 	si := r.slotOf[p]
 	ks := r.views[p].ks
@@ -473,14 +446,12 @@ func (r *Replica) rescoreColumn(p int, jobs []Job, from int, scoreAt, rankAt []f
 		sc.distinct = distinct
 		feas := sc.colFeas[:nD]
 		rank := sc.colRank[:nD]
-		scoreColumnCached(set.cache, set.met, set.bpred, set.bpolicy, set.dpolicy,
+		scoreColumnCached(set.cache, set.met, set.pred, set.policy,
 			sc, p, r.views[p].ver, set.epoch(), distinct, ks, feas, rank)
 		for i, j := 0, from; j < nJ; i, j = i+1, j+1 {
 			d := sc.dIdx[i]
 			scoreAt[si*nJ+j] = feas[d]
-			if dual {
-				rankAt[si*nJ+j] = rank[d]
-			}
+			rankAt[si*nJ+j] = rank[d]
 		}
 		return
 	}
@@ -489,61 +460,10 @@ func (r *Replica) rescoreColumn(p int, jobs []Job, from int, scoreAt, rankAt []f
 		rescoreQ = append(rescoreQ, Query{Workload: jobs[j].Workload, Platform: p, Interferers: ks})
 	}
 	rescore := sc.rescore[:len(rescoreQ)]
-	if dual {
-		rescoreRank := sc.rescoreRank[:len(rescoreQ)]
-		set.dpolicy.ScoreDualBatch(set.bpred, rescoreQ, rescore, rescoreRank)
-		for i, j := 0, from; j < nJ; i, j = i+1, j+1 {
-			scoreAt[si*nJ+j] = rescore[i]
-			rankAt[si*nJ+j] = rescoreRank[i]
-		}
-		return
-	}
-	set.bpolicy.ScoreBatch(set.bpred, rescoreQ, rescore)
-	for i, j := 0, from; j < nJ; i, j = i+1, j+1 {
-		scoreAt[si*nJ+j] = rescore[i]
-	}
-}
-
-// placeOne is the scalar-scoring arm (no BatchPredictor, or batching
-// disabled): each attempt scores the candidate set one Policy call per
-// platform, and each conflict retry re-scores the refreshed set in full.
-func (r *Replica) placeOne(job Job, shard []int) Assignment {
-	set := r.set
-	if set.admissionFull() {
-		return rejected(job)
-	}
-	sc := &r.scratch
-	sc.reserve(len(shard), 1)
-	for tries := 0; ; tries++ {
-		cands := sc.cands[:0]
-		snaps := sc.snaps[:0]
-		placeable := 0
-		for _, p := range shard {
-			v := &r.views[p]
-			if !v.placeable {
-				continue
-			}
-			placeable++
-			if v.load+1 > v.cap {
-				continue
-			}
-			cands = append(cands, Candidate{Platform: p, Load: v.load, Degraded: v.degraded})
-			snaps = append(snaps, v.ks)
-		}
-		if set.dpolicy != nil {
-			for i, c := range cands {
-				cands[i].Score, cands[i].Rank = set.dpolicy.ScoreDual(set.pred, job, c.Platform, snaps[i])
-			}
-		} else {
-			for i, c := range cands {
-				v := set.policy.Score(set.pred, job, c.Platform, snaps[i])
-				cands[i].Score, cands[i].Rank = v, v
-			}
-		}
-		if a, stale := r.commitBest(job, cands, snaps, placeable, tries); stale < 0 {
-			return a
-		}
-	}
+	rescoreRank := sc.rescoreRank[:len(rescoreQ)]
+	set.policy.Score(set.pred, rescoreQ, rescore, rescoreRank)
+	copy(scoreAt[si*nJ+from:(si+1)*nJ], rescore)
+	copy(rankAt[si*nJ+from:(si+1)*nJ], rescoreRank)
 }
 
 // backoff spaces the k-th consecutive reserve retry: yield-only when no

@@ -7,11 +7,12 @@
 // candidate placement must account for — changes over time. A Scheduler
 // keeps that state in a SlotStore of versioned per-platform snapshots and
 // places through one or more replicas that commit optimistically against
-// it. It scores all candidate platforms for a job in one batched predictor
-// call when the predictor supports it (BatchPredictor; the Pitot facade
-// does), selects among feasible platforms with a pluggable Strategy, and
-// bounds admission so a saturated cluster fails fast instead of queueing
-// placements it cannot serve.
+// it. It scores all candidate platforms for a wave of jobs in one batched
+// predictor call (BatchPredictor; the Pitot facade implements it, and a
+// scalar-only Predictor is scored one call per query), selects among
+// feasible platforms with a pluggable Strategy, and bounds admission so a
+// saturated cluster fails fast instead of queueing placements it cannot
+// serve.
 //
 // Measured runtimes flow back through Observer: a simulator or live
 // orchestrator reports each completed job's (workload, platform,
@@ -62,7 +63,8 @@ type Predictor interface {
 // BatchPredictor additionally scores many queries in one call — the shape
 // of a scheduler scanning every candidate platform for a job (or a whole
 // wave of jobs). The Pitot facade implements it on top of
-// EstimateBatch/BoundBatch; scalar-only predictors fall back to Predictor.
+// EstimateBatch/BoundBatch; New lends a scalar-only Predictor the batch
+// facet through loopPredictor.
 type BatchPredictor interface {
 	Predictor
 	// EstimateSecondsBatch returns the expected runtime for every query.
@@ -70,6 +72,28 @@ type BatchPredictor interface {
 	// BoundSecondsBatch returns the 1−eps runtime budget for every query,
 	// +Inf where no valid bound exists.
 	BoundSecondsBatch(qs []Query, eps float64) []float64
+}
+
+// loopPredictor scores a scalar-only Predictor one call per query. The
+// embedded interface promotes only the Predictor methods, so optional
+// facets (Version, ScoreEpoch) are resolved on the wrapped predictor,
+// never on the adapter.
+type loopPredictor struct{ Predictor }
+
+func (l loopPredictor) EstimateSecondsBatch(qs []Query) []float64 {
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		out[i] = l.EstimateSeconds(q.Workload, q.Platform, q.Interferers)
+	}
+	return out
+}
+
+func (l loopPredictor) BoundSecondsBatch(qs []Query, eps float64) []float64 {
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		out[i] = l.BoundSeconds(q.Workload, q.Platform, q.Interferers, eps)
+	}
+	return out
 }
 
 // FusedPredictor additionally scores both heads — the mean estimate and
@@ -182,15 +206,10 @@ type Config struct {
 	// decision-identical to an unchunked wave. 0 means the default (64);
 	// negative places the whole wave in one chunk.
 	WaveChunk int
-	// DisableBatch forces scalar scoring even when both the policy and the
-	// predictor support batching — the reference path batch scoring must
-	// be decision-identical to (used by tests and benchmarks).
-	DisableBatch bool
 	// DegradedPenalty multiplies the feasibility score of candidates on
 	// Degraded platforms: a flaky platform must clear the deadline with
-	// padding to spare before it wins a placement. Must be ≥ 1; 0 means
-	// the default (1.25). Applied identically on the scalar, batch, and
-	// fused scoring paths, so it preserves their decision identity.
+	// padding to spare before it wins a placement. Must be finite and
+	// ≥ 1; 0 means the default (1.25).
 	DegradedPenalty float64
 	// Breaker tunes the per-platform circuit breaker fed by
 	// CompleteOutcome; the zero value gets defaults (window 20, automatic
@@ -210,8 +229,8 @@ type Config struct {
 	// workload dedup plus a bounded cross-wave score cache keyed on
 	// per-platform slot versions and the predictor's scoring epoch (see
 	// ScoreCache in scorecache.go). Decision-bitwise-identical to the
-	// uncached path; off by default. Ignored on the scalar (DisableBatch
-	// or non-batch predictor) arm, which has no wave scoring to memoize.
+	// uncached path; off by default. Exact only for predictors that
+	// expose a scoring epoch or never change (see scoreEpocher).
 	ScoreCache bool
 	// ScoreCacheCap bounds total cached entries across all platforms
 	// (split evenly per platform, FIFO eviction). 0 means the default

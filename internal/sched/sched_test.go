@@ -31,6 +31,11 @@ func TestNewValidation(t *testing.T) {
 	if s.cfg.MaxColocation != 4 {
 		t.Fatal("default max colocation wrong")
 	}
+	for _, penalty := range []float64{math.NaN(), math.Inf(1), 0.5} {
+		if _, err := New(Config{NumPlatforms: 2, DegradedPenalty: penalty}, MeanPolicy{}, fakePred{base: []float64{1, 2}}); err == nil {
+			t.Fatalf("accepted DegradedPenalty %v", penalty)
+		}
+	}
 }
 
 func TestPlaceFeasibility(t *testing.T) {
@@ -89,20 +94,56 @@ func TestPlaceAccountsForInterference(t *testing.T) {
 	}
 }
 
+// TestPolicies pins the Policy contract for every built-in policy on both
+// predictor shapes: single-head policies fill rank = feas, the mixed-head
+// policies fill feas with the bound and rank with the (padded) mean, and a
+// FusedPredictor serves the mixed heads in one fused call.
 func TestPolicies(t *testing.T) {
-	pred := fakePred{base: []float64{2.0}}
-	if MeanPolicy.Score(MeanPolicy{}, pred, Job{}, 0, nil) != 2.0 {
-		t.Fatal("mean score")
+	vp := variedPred{base: []float64{2, 0.7}}
+	qs := []Query{
+		{Workload: 0, Platform: 0},
+		{Workload: 3, Platform: 1, Interferers: []int{5}},
+		{Workload: 7, Platform: 0, Interferers: []int{1, 2}},
 	}
-	if (BoundPolicy{Eps: 0.1}).Score(pred, Job{}, 0, nil) != 3.0 {
-		t.Fatal("bound score")
+	mean := func(q Query) float64 { return vp.EstimateSeconds(q.Workload, q.Platform, q.Interferers) }
+	bound := func(q Query) float64 { return vp.BoundSeconds(q.Workload, q.Platform, q.Interferers, 0.2) }
+	padded := func(q Query) float64 { return mean(q) * 1.5 }
+	cases := []struct {
+		pol        Policy
+		feas, rank func(Query) float64
+		dual       bool
+	}{
+		{MeanPolicy{}, mean, mean, false},
+		{PaddedMeanPolicy{Factor: 1.5}, padded, padded, false},
+		{BoundPolicy{Eps: 0.2}, bound, bound, false},
+		{MeanBoundPolicy{Eps: 0.2}, bound, mean, true},
+		{PaddedBoundPolicy{Eps: 0.2, Factor: 1.5}, bound, padded, true},
 	}
-	if (PaddedMeanPolicy{Factor: 2}).Score(pred, Job{}, 0, nil) != 4.0 {
-		t.Fatal("padded score")
-	}
-	for _, p := range []Policy{MeanPolicy{}, BoundPolicy{0.1}, PaddedMeanPolicy{1.5}} {
-		if p.Name() == "" {
+	for _, c := range cases {
+		if c.pol.Name() == "" {
 			t.Fatal("empty policy name")
+		}
+		for _, fused := range []bool{false, true} {
+			bp := &batchPred{Predictor: vp}
+			ff := &fusedFake{batchPred: bp}
+			var pred BatchPredictor = bp
+			if fused {
+				pred = ff
+			}
+			feas := make([]float64, len(qs))
+			rank := make([]float64, len(qs))
+			c.pol.Score(pred, qs, feas, rank)
+			for i, q := range qs {
+				if feas[i] != c.feas(q) || rank[i] != c.rank(q) {
+					t.Fatalf("%s fused=%v query %d: feas %v rank %v, want %v %v",
+						c.pol.Name(), fused, i, feas[i], rank[i], c.feas(q), c.rank(q))
+				}
+			}
+			if wantFused := fused && c.dual; (ff.fusedCalls.Load() == 1) != wantFused ||
+				(bp.batchCalls.Load() == 0) != wantFused {
+				t.Fatalf("%s fused=%v: %d fused and %d batch calls", c.pol.Name(), fused,
+					ff.fusedCalls.Load(), bp.batchCalls.Load())
+			}
 		}
 	}
 }

@@ -99,17 +99,9 @@ type Scheduler struct {
 	cfg      Config
 	policy   Policy
 	strategy Strategy
-	pred     Predictor
-
-	// bpred/bpolicy are non-nil when batched scoring is active: the
-	// predictor scores a job's whole candidate set (or a whole wave) in
-	// one call instead of one scalar call per platform. dpolicy is non-nil
-	// when the policy scores feasibility and ranking separately (mixed
-	// mean/bound policies); with a FusedPredictor both facets of a wave
-	// come out of one fused two-head pass.
-	bpred   BatchPredictor
-	bpolicy BatchPolicy
-	dpolicy DualPolicy
+	// pred scores whole candidate sets and waves: the caller's predictor,
+	// or a loopPredictor around it when it has no batch facet.
+	pred BatchPredictor
 
 	// chunk is the resolved Config.WaveChunk: max jobs placed per replica
 	// lock hold in PlaceAll. degradedPenalty is the resolved
@@ -163,8 +155,7 @@ const defaultWaveChunk = 64
 const defaultDegradedPenalty = 1.25
 
 // waveScratch holds PlaceAll's per-chunk buffers for reuse across waves.
-// The *Rank twins carry the ranking facet of dual policies; they are left
-// untouched on the single-head path.
+// The *Rank twins carry the policy's ranking facet.
 type waveScratch struct {
 	qs          []Query
 	pre         []float64
@@ -235,11 +226,10 @@ func (sc *waveScratch) reserveCache(nP, nJ int) {
 }
 
 // New creates a single-replica scheduler over one shared pool of
-// platforms. The batch scoring path engages automatically when pred
-// implements BatchPredictor and policy implements BatchPolicy (all
-// built-in policies do), unless cfg.DisableBatch is set; dual-head
-// policies (DualPolicy) additionally score through one fused pass when the
-// predictor implements FusedPredictor.
+// platforms. Placement scores whole waves through pred's batch facet when
+// it implements BatchPredictor, and one scalar call per query otherwise;
+// the mixed-head policies score both facets in one fused pass when pred
+// implements FusedPredictor.
 func New(cfg Config, policy Policy, pred Predictor) (*Scheduler, error) {
 	return NewReplicated(cfg, ReplicaConfig{Replicas: 1, Shards: 1}, policy, pred)
 }
@@ -271,8 +261,8 @@ func NewReplicated(cfg Config, rc ReplicaConfig, policy Policy, pred Predictor) 
 	if penalty == 0 {
 		penalty = defaultDegradedPenalty
 	}
-	if penalty < 1 {
-		return nil, fmt.Errorf("sched: DegradedPenalty %v < 1", penalty)
+	if !(penalty >= 1) || math.IsInf(penalty, 1) {
+		return nil, fmt.Errorf("sched: DegradedPenalty %v: want a finite value ≥ 1", penalty)
 	}
 	if cfg.ScoreCacheCap < 0 {
 		return nil, fmt.Errorf("sched: negative ScoreCacheCap")
@@ -297,7 +287,6 @@ func NewReplicated(cfg Config, rc ReplicaConfig, policy Policy, pred Predictor) 
 		cfg:              cfg,
 		policy:           policy,
 		strategy:         cfg.Strategy,
-		pred:             pred,
 		chunk:            chunk,
 		degradedPenalty:  penalty,
 		maxRetries:       rc.MaxCommitRetries,
@@ -309,22 +298,17 @@ func NewReplicated(cfg Config, rc ReplicaConfig, policy Policy, pred Predictor) 
 		met:              cfg.Metrics,
 		rec:              cfg.Recorder,
 	}
+	if bp, ok := pred.(BatchPredictor); ok {
+		s.pred = bp
+	} else {
+		s.pred = loopPredictor{pred}
+	}
+	// The optional facets are read off the caller's predictor: the
+	// adapter does not promote them.
 	if v, ok := pred.(snapshotVersioner); ok {
 		s.ver = v.Version
 	}
-	if dp, ok := policy.(DualPolicy); ok {
-		s.dpolicy = dp
-	}
-	if !cfg.DisableBatch {
-		bp, okP := pred.(BatchPredictor)
-		bpol, okPol := policy.(BatchPolicy)
-		if okP && okPol {
-			s.bpred, s.bpolicy = bp, bpol
-		}
-	}
-	// The score cache memoizes the batched wave path; the scalar arm has
-	// no wave scoring to reuse, so ScoreCache is a no-op there.
-	if cfg.ScoreCache && s.bpred != nil {
+	if cfg.ScoreCache {
 		s.cache = newScoreCache(cfg.NumPlatforms, cfg.ScoreCacheCap)
 		s.epochFn = resolveEpochFn(pred)
 	}
@@ -372,20 +356,6 @@ func (s *Scheduler) ScoreCacheStats() (ScoreCacheStats, bool) {
 		return ScoreCacheStats{}, false
 	}
 	return s.cache.Stats(), true
-}
-
-// Batched reports whether placements score candidates through the batched
-// predictor path.
-func (s *Scheduler) Batched() bool { return s.bpred != nil }
-
-// Fused reports whether placements score both policy facets through one
-// fused two-head predictor pass.
-func (s *Scheduler) Fused() bool {
-	if s.bpred == nil || s.dpolicy == nil {
-		return false
-	}
-	_, ok := s.bpred.(FusedPredictor)
-	return ok
 }
 
 // Place assigns one job: among feasible platforms (score ≤ deadline after
@@ -573,9 +543,8 @@ func (s *Scheduler) InFlight() int { return s.store.InFlight() }
 func (s *Scheduler) Residents(p int) []int { return s.store.Residents(p) }
 
 // padDegradedCands inflates the feasibility score of candidates on
-// Degraded platforms by the configured penalty — the same float operation
-// on every scoring path (scalar, batch, fused), so degraded padding
-// preserves the paths' decision identity. Only the feasibility facet is
+// Degraded platforms by the configured penalty, after scoring, so cached
+// raw scores serve healthy and degraded selections alike. Only the feasibility facet is
 // padded: Rank keeps the raw prediction, because strategies interpret it
 // as runtime (LeastLoaded keeps fast platforms free, BestFit packs tight)
 // and a padded rank would make degraded platforms look slower — and

@@ -235,7 +235,8 @@ func (c *ScoreCache) store(p int, ver, epoch uint64, ws []int, feas, rank []floa
 type scoreEpocher interface{ ScoreEpoch() uint64 }
 
 // resolveEpochFn picks the scoring-epoch source for a cache-enabled
-// scheduler arm.
+// scheduler. pred must be the caller's predictor, not the loopPredictor
+// adapter, which hides both facets.
 func resolveEpochFn(pred Predictor) func() uint64 {
 	switch pv := pred.(type) {
 	case scoreEpocher:
@@ -274,9 +275,7 @@ func dedupJobs(jobs []Job, from int, distinct []int, dIdx []int) ([]int, int) {
 // scoreColumnCached scores platform p's distinct-workload column through
 // the cache: cached entries are copied out, the remainder is scored in one
 // batched policy call over residents ks and stored back under (ver,
-// epoch). feas/rank must be len(ws); the rank column is filled on both
-// policy shapes (equal to feas for single-head policies, matching the
-// uncached c.Rank = c.Score convention). Returns how many of the column's
+// epoch). feas/rank must be len(ws). Returns how many of the column's
 // scores were served from the cache.
 //
 // The batched kernels score each query independently (queries sharing a
@@ -285,7 +284,7 @@ func dedupJobs(jobs []Job, from int, distinct []int, dIdx []int) ([]int, int) {
 // is bitwise what one full batched call would produce.
 func scoreColumnCached(
 	cache *ScoreCache, met *obs.SchedMetrics,
-	bpred BatchPredictor, bpolicy BatchPolicy, dpolicy DualPolicy,
+	pred BatchPredictor, policy Policy,
 	sc *waveScratch, p int, ver, epoch uint64, ws, ks []int,
 	feas, rank []float64,
 ) int {
@@ -316,12 +315,7 @@ func scoreColumnCached(
 	if met != nil {
 		scoreStart = time.Now()
 	}
-	if dpolicy != nil {
-		dpolicy.ScoreDualBatch(bpred, qs, missFeas, missRank)
-	} else {
-		bpolicy.ScoreBatch(bpred, qs, missFeas)
-		copy(missRank, missFeas)
-	}
+	policy.Score(pred, qs, missFeas, missRank)
 	if met != nil {
 		met.ScoreBatch.ObserveSince(scoreStart)
 	}

@@ -51,16 +51,30 @@ func (e *epochPred) BoundSecondsBatch(qs []Query, eps float64) []float64 {
 func (e *epochPred) ScoreEpoch() uint64 { return e.epoch }
 func (e *epochPred) Version() uint64    { return e.epoch }
 
+// scalarEpochPred hides an epochPred's batch facet but keeps its scoring
+// epoch: the scheduler scores it through its scalar adapter, and must still
+// read the epoch off the caller's predictor.
+type scalarEpochPred struct{ scalarOnly }
+
+func (s scalarEpochPred) ScoreEpoch() uint64 { return s.Predictor.(*epochPred).ScoreEpoch() }
+
 // TestScoreCacheDecisionIdentityUnderChurn is the tentpole property on the
 // fake predictor: for seeded random op sequences — dup-heavy waves,
 // completions with breaker outcomes, Fail/Degrade/Recover churn, and
 // mid-stream scoring-epoch bumps — the cache-on scheduler produces
 // assignments bitwise identical to the cache-off one, including job IDs,
-// budgets, unplaced reasons, and orphan sets.
+// budgets, unplaced reasons, and orphan sets. Each policy runs on the
+// batch predictor and on a scalar-only one exposing the same epoch.
 func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 	policies := []Policy{MeanPolicy{}, BoundPolicy{Eps: 0.1}, MeanBoundPolicy{Eps: 0.1}}
 	for seed := int64(0); seed < 6; seed++ {
-		for pi, pol := range policies {
+		for ci := 0; ci < 2*len(policies); ci++ {
+			pi, scalar := ci%len(policies), ci >= len(policies)
+			pol := policies[pi]
+			name := pol.Name()
+			if scalar {
+				name += "/scalar"
+			}
 			rng := rand.New(rand.NewSource(seed*31 + int64(pi)))
 			nP := 3 + rng.Intn(5)
 			base := make([]float64, nP)
@@ -68,6 +82,10 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 				base[p] = 0.5 + 3*rng.Float64()
 			}
 			pred := &epochPred{base: base}
+			var sp Predictor = pred
+			if scalar {
+				sp = scalarEpochPred{scalarOnly{pred}}
+			}
 			cfg := Config{
 				NumPlatforms:  nP,
 				MaxColocation: 3,
@@ -76,8 +94,8 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 			}
 			cfgOn := cfg
 			cfgOn.ScoreCache = true
-			ref := mustNew(t, cfg, pol, pred)
-			cached := mustNew(t, cfgOn, pol, pred)
+			ref := mustNew(t, cfg, pol, sp)
+			cached := mustNew(t, cfgOn, pol, sp)
 
 			var live []JobID
 			var retired []JobID
@@ -98,7 +116,7 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 					for i := range want {
 						if !sameAssignment(got[i], want[i]) || got[i].Reason != want[i].Reason {
 							t.Fatalf("seed %d %s op %d: job %d got %+v want %+v",
-								seed, pol.Name(), op, i, got[i], want[i])
+								seed, name, op, i, got[i], want[i])
 						}
 					}
 					for _, a := range want {
@@ -117,13 +135,13 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 						trip, err := cached.CompleteOutcome(id, miss)
 						if trip != wantTrip || (err == nil) != (wantErr == nil) {
 							t.Fatalf("seed %d %s op %d: CompleteOutcome(%d) = (%v,%v) want (%v,%v)",
-								seed, pol.Name(), op, id, trip, err, wantTrip, wantErr)
+								seed, name, op, id, trip, err, wantTrip, wantErr)
 						}
 					} else {
 						wantErr := ref.Complete(id)
 						if err := cached.Complete(id); (err == nil) != (wantErr == nil) {
 							t.Fatalf("seed %d %s op %d: Complete(%d) = %v want %v",
-								seed, pol.Name(), op, id, err, wantErr)
+								seed, name, op, id, err, wantErr)
 						}
 					}
 				case k < 72 && len(retired) > 0: // duplicate completion of a retired ID
@@ -131,7 +149,7 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 					wantErr := ref.Complete(id)
 					if err := cached.Complete(id); (err == nil) != (wantErr == nil) {
 						t.Fatalf("seed %d %s op %d: stale Complete(%d) = %v want %v",
-							seed, pol.Name(), op, id, err, wantErr)
+							seed, name, op, id, err, wantErr)
 					}
 				case k < 80: // platform failure orphans residents
 					p := rng.Intn(nP)
@@ -139,12 +157,12 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 					got, err := cached.Fail(p)
 					if (err == nil) != (wantErr == nil) || len(got) != len(want) {
 						t.Fatalf("seed %d %s op %d: Fail(%d) = (%d orphans, %v) want (%d, %v)",
-							seed, pol.Name(), op, p, len(got), err, len(want), wantErr)
+							seed, name, op, p, len(got), err, len(want), wantErr)
 					}
 					for i := range want {
 						if got[i].ID != want[i].ID || got[i].Job != want[i].Job {
 							t.Fatalf("seed %d %s op %d: orphan %d = %+v want %+v",
-								seed, pol.Name(), op, i, got[i], want[i])
+								seed, name, op, i, got[i], want[i])
 						}
 					}
 					for _, o := range want {
@@ -161,21 +179,21 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 					wantErr := ref.Degrade(p)
 					if err := cached.Degrade(p); (err == nil) != (wantErr == nil) {
 						t.Fatalf("seed %d %s op %d: Degrade(%d) = %v want %v",
-							seed, pol.Name(), op, p, err, wantErr)
+							seed, name, op, p, err, wantErr)
 					}
 				case k < 92: // recover
 					p := rng.Intn(nP)
 					wantErr := ref.Recover(p)
 					if err := cached.Recover(p); (err == nil) != (wantErr == nil) {
 						t.Fatalf("seed %d %s op %d: Recover(%d) = %v want %v",
-							seed, pol.Name(), op, p, err, wantErr)
+							seed, name, op, p, err, wantErr)
 					}
 				default: // snapshot publish: every cached column goes stale
 					pred.epoch++
 				}
 			}
 			if st, on := cached.ScoreCacheStats(); !on || st.Hits == 0 {
-				t.Errorf("seed %d %s: cached scheduler saw no hits (on=%v stats=%+v)", seed, pol.Name(), on, st)
+				t.Errorf("seed %d %s: cached scheduler saw no hits (on=%v stats=%+v)", seed, name, on, st)
 			}
 		}
 	}
@@ -291,16 +309,6 @@ func TestScoreCacheIntraWaveDedup(t *testing.T) {
 	s.PlaceAll(jobs)
 	if pred.queries != 12 { // 3 distinct workloads × 4 platforms
 		t.Fatalf("predictor scored %d queries, want 12 (deduped from %d)", pred.queries, 12*4)
-	}
-}
-
-// TestScoreCacheScalarArmDisabled pins that the cache is a no-op on the
-// scalar scoring arm: nothing to memoize, stats report disabled.
-func TestScoreCacheScalarArmDisabled(t *testing.T) {
-	pred := &epochPred{base: []float64{1, 2}}
-	s := mustNew(t, Config{NumPlatforms: 2, ScoreCache: true, DisableBatch: true}, MeanPolicy{}, pred)
-	if _, on := s.ScoreCacheStats(); on {
-		t.Fatal("cache reported enabled on the scalar arm")
 	}
 }
 

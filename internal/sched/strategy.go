@@ -7,7 +7,7 @@ import "fmt"
 // count) before this job joins. Score is the feasibility value (compared
 // against the deadline; the assignment's Budget); Rank is what strategies
 // order candidates by. Single-head policies collapse the two (Rank ==
-// Score); dual policies (DualPolicy) gate on the conformal bound while
+// Score); the mixed-head policies gate on the conformal bound while
 // ranking by the mean estimate.
 type Candidate struct {
 	Platform int

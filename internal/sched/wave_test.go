@@ -28,9 +28,9 @@ func (f *fusedFake) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut
 var _ FusedPredictor = (*fusedFake)(nil)
 
 // Dual-head policies must make identical decisions on all three scoring
-// paths: scalar ScoreDual (DisableBatch), two-pass batch
-// (EstimateSecondsBatch + BoundSecondsBatch), and the fused one-pass
-// ScoreSecondsBatch — across strategies, completions, and waves.
+// paths: one scalar call per query (scalarOnly, one job per chunk),
+// two-pass batch (EstimateSecondsBatch + BoundSecondsBatch), and the fused
+// one-pass ScoreSecondsBatch — across strategies, completions, and waves.
 func TestDualPolicyDecisionIdentical(t *testing.T) {
 	policies := []Policy{MeanBoundPolicy{Eps: 0.1}, PaddedBoundPolicy{Eps: 0.2, Factor: 1.3}}
 	strategies := []Strategy{LeastLoaded{}, BestFit{}, UtilizationAware{}}
@@ -45,14 +45,13 @@ func TestDualPolicyDecisionIdentical(t *testing.T) {
 		strat := strategies[rng.Intn(len(strategies))]
 		cfg := Config{NumPlatforms: nP, MaxColocation: 1 + rng.Intn(3), MaxInFlight: 4 + rng.Intn(8), Strategy: strat}
 		scalarCfg := cfg
-		scalarCfg.DisableBatch = true
+		scalarCfg.WaveChunk = 1
 		fused := &fusedFake{batchPred: &batchPred{Predictor: variedPred{base}}}
+		batch := &batchPred{Predictor: variedPred{base}}
+		scalar := &batchPred{Predictor: variedPred{base}}
 		sf := mustNew(t, cfg, pol, fused)
-		sb := mustNew(t, cfg, pol, &batchPred{Predictor: variedPred{base}})
-		ss := mustNew(t, scalarCfg, pol, &batchPred{Predictor: variedPred{base}})
-		if !sf.Fused() || sb.Fused() || ss.Batched() {
-			t.Fatal("fused/batch/scalar wiring wrong")
-		}
+		sb := mustNew(t, cfg, pol, batch)
+		ss := mustNew(t, scalarCfg, pol, scalarOnly{scalar})
 		var live []JobID
 		for i := 0; i < 50; i++ {
 			if len(live) > 0 && rng.Float64() < 0.3 {
@@ -100,8 +99,9 @@ func TestDualPolicyDecisionIdentical(t *testing.T) {
 				live = append(live, af.ID)
 			}
 		}
-		if fused.fusedCalls.Load() == 0 {
-			t.Fatalf("seed %d: fused path never engaged", seed)
+		if fused.fusedCalls.Load() == 0 || fused.batchCalls.Load() != 0 ||
+			batch.batchCalls.Load() == 0 || scalar.batchCalls.Load() != 0 {
+			t.Fatalf("seed %d: fused/batch/scalar wiring wrong", seed)
 		}
 	}
 }
@@ -406,15 +406,12 @@ func TestStreamFeedbackInterval(t *testing.T) {
 	}
 }
 
-// The new mixed-head policy names parse; bad eps is rejected.
+// The mixed-head policy names parse; bad eps and non-finite padding
+// factors are rejected.
 func TestParseDualPolicies(t *testing.T) {
 	for _, n := range []string{"mean-bound", "padded-bound"} {
-		pol, err := ParsePolicy(n, 0.1, 1.3)
-		if err != nil {
+		if _, err := ParsePolicy(n, 0.1, 1.3); err != nil {
 			t.Fatal(err)
-		}
-		if _, ok := pol.(DualPolicy); !ok {
-			t.Fatalf("%s is not a DualPolicy", n)
 		}
 		if _, err := ParsePolicy(n, 0, 1.3); err == nil {
 			t.Fatalf("%s accepted eps 0", n)
@@ -422,5 +419,15 @@ func TestParseDualPolicies(t *testing.T) {
 		if _, err := ParsePolicy(n, math.NaN(), 1.3); err == nil {
 			t.Fatalf("%s accepted NaN eps", n)
 		}
+	}
+	for _, n := range []string{"mean", "padded", "bound", "mean-bound", "padded-bound"} {
+		for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if _, err := ParsePolicy(n, 0.1, f); err == nil {
+				t.Fatalf("%s accepted factor %v", n, f)
+			}
+		}
+	}
+	if pol, err := ParsePolicy("padded-bound", 0.1, 0); err != nil || pol.(PaddedBoundPolicy).Factor != 1.3 {
+		t.Fatalf("factor 0 should default to 1.3: %v %v", pol, err)
 	}
 }

@@ -313,8 +313,7 @@ func (p *Predictor) BoundBatch(qs []Query, eps float64) ([]float64, error) {
 // unless fast scoring is on (ModelConfig.FastScoring at training time, or
 // SetFastScoring), which trades bitwise identity for the approximate
 // kernel: every score then stays within core.FastScoreMaxRelErr relative
-// of the exact result (core.FastF32MaxRelErr for the mean head under
-// ModelConfig.FastScoringF32). The scoring mode is part of the snapshot,
+// of the exact result. The scoring mode is part of the snapshot,
 // so one batch is never served by a mix of kernels.
 // Requires Options.EnableBounds; the whole batch is served from one
 // snapshot. Lock-free and safe from any number of goroutines.
