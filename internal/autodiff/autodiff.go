@@ -25,7 +25,7 @@
 // nodes with a per-traversal generation stamp drawn from an atomic counter
 // instead of a shared visited map. Graphs that share Values (other than
 // constants, which backward never visits) must not be differentiated
-// concurrently; Stub exists to cut such sharing deliberately.
+// concurrently.
 package autodiff
 
 import (
@@ -62,16 +62,6 @@ func NewConst(m *tensor.Matrix) *Value {
 // and persist until ZeroGrad is called.
 func NewParam(m *tensor.Matrix) *Value {
 	return &Value{Data: m, Grad: tensor.New(m.Rows, m.Cols), requiresGrad: true, op: "param"}
-}
-
-// Stub returns a detached leaf that shares v's data but accumulates into
-// its own gradient buffer. It cuts the graph at v: subgraphs built on stubs
-// of the same upstream Value are fully disjoint and may run Backward
-// concurrently; the caller then adds each stub's Grad into v.Grad (in a
-// fixed order, for determinism) before differentiating v's own graph with
-// BackwardSeeded.
-func Stub(v *Value) *Value {
-	return &Value{Data: v.Data, Grad: newMat(v.Data.Rows, v.Data.Cols), requiresGrad: true, op: "stub"}
 }
 
 // IsParam reports whether v is a leaf parameter node.
@@ -133,7 +123,8 @@ func (v *Value) Backward() {
 
 // BackwardSeeded propagates gradients from v, whose Grad must already have
 // been seeded by the caller (any shape). Used to resume differentiation at
-// a graph cut: accumulate stub gradients into v.Grad, then call this.
+// a graph cut: accumulate the downstream gradients into v.Grad, then call
+// this.
 func (v *Value) BackwardSeeded() {
 	if !v.requiresGrad {
 		return
@@ -187,9 +178,8 @@ func topoSort(root *Value) []*Value {
 
 // ReleaseGraph returns the pool-backed buffers of every node reachable from
 // roots. Parameters and constants are untouched (their storage is owned by
-// the caller); stubs release only their gradient accumulator. None of the
-// graph's Values — including the data of non-parameter results — may be
-// used afterwards.
+// the caller). None of the graph's Values — including the data of
+// non-parameter results — may be used afterwards.
 func ReleaseGraph(roots ...*Value) {
 	gen := topoGen.Add(1)
 	var stack []*Value
@@ -210,9 +200,6 @@ func ReleaseGraph(roots ...*Value) {
 		}
 		switch n.op {
 		case "param", "const":
-		case "stub":
-			tensor.PutPooled(n.Grad)
-			n.Grad = nil
 		default:
 			tensor.PutPooled(n.Data)
 			tensor.PutPooled(n.Grad)

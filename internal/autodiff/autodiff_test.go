@@ -441,30 +441,6 @@ func TestGradConcatConstCols(t *testing.T) {
 	}
 }
 
-func TestStubBackwardSeededMatchesMonolithic(t *testing.T) {
-	// Differentiating loss = sum((x*w)∘(x*w)) through a stub cut at h=x*w
-	// must equal differentiating the monolithic graph.
-	rng := rand.New(rand.NewSource(23))
-	xM, wM := randMat(rng, 4, 3), randMat(rng, 3, 5)
-
-	wMono := NewParam(wM.Clone())
-	hMono := MatMul(NewConst(xM), wMono)
-	Sum(Square(hMono)).Backward()
-
-	wCut := NewParam(wM.Clone())
-	h := MatMul(NewConst(xM), wCut)
-	stub := Stub(h)
-	loss := Sum(Square(stub))
-	loss.ensureGrad().Data[0] = 1
-	loss.BackwardSeeded()
-	tensor.AddInPlace(h.ensureGrad(), stub.Grad)
-	h.BackwardSeeded()
-
-	if !tensor.Equal(wMono.Grad, wCut.Grad, 1e-12) {
-		t.Fatalf("stub-cut grad %v != monolithic %v", wCut.Grad, wMono.Grad)
-	}
-}
-
 func TestConcurrentDisjointBackward(t *testing.T) {
 	// Disjoint graphs must be differentiable concurrently (the parallel
 	// per-degree training path); run under -race to verify.
@@ -495,8 +471,8 @@ func TestReleaseGraphRecyclesAndPreservesLeaves(t *testing.T) {
 	p := NewParam(xM.Clone())
 	c := NewConst(xM)
 	h := Mul(p, c)
-	stub := Stub(h)
-	loss := Sum(Square(stub))
+	sq := Square(h)
+	loss := Sum(sq)
 	loss.Backward()
 	gradBefore := p.Grad.Clone()
 	ReleaseGraph(loss, h)
@@ -506,7 +482,7 @@ func TestReleaseGraphRecyclesAndPreservesLeaves(t *testing.T) {
 	if c.Data == nil {
 		t.Fatal("ReleaseGraph touched constant storage")
 	}
-	if stub.Grad != nil || h.Data != nil || loss.Data != nil {
+	if sq.Grad != nil || h.Data != nil || loss.Data != nil {
 		t.Fatal("ReleaseGraph left interior buffers live")
 	}
 }

@@ -5,7 +5,10 @@
 // multi-quantile heads for conformalized quantile regression (§3.5).
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Objective selects the regression target/loss (paper Fig. 4a ablation).
 type Objective int
@@ -174,9 +177,18 @@ func (c Config) Validate() error {
 	if c.LearnedFeatures < 0 {
 		return fmt.Errorf("core: negative learned features")
 	}
+	// Written so that NaN fails: every comparison with NaN is false.
 	for _, q := range c.Quantiles {
-		if q <= 0 || q >= 1 {
+		if !(q > 0 && q < 1) {
 			return fmt.Errorf("core: quantile %v out of (0,1)", q)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"LR", c.LR}, {"Beta", c.Beta}, {"ActivationSlope", c.ActivationSlope}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s %v is not finite", f.name, f.v)
 		}
 	}
 	if c.Objective == ObjProportional && len(c.Quantiles) > 0 {

@@ -52,6 +52,25 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("accepted proportional+quantiles")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"NaN quantile", func(c *Config) { c.Quantiles = []float64{0.5, nan} }},
+		{"NaN LR", func(c *Config) { c.LR = nan }},
+		{"infinite LR", func(c *Config) { c.LR = inf }},
+		{"NaN Beta", func(c *Config) { c.Beta = nan }},
+		{"infinite Beta", func(c *Config) { c.Beta = -inf }},
+		{"NaN ActivationSlope", func(c *Config) { c.ActivationSlope = nan }},
+		{"infinite ActivationSlope", func(c *Config) { c.ActivationSlope = inf }},
+	} {
+		bad = DefaultConfig(1)
+		c.set(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("accepted %s", c.name)
+		}
+	}
 }
 
 func TestObjectiveAndModeStrings(t *testing.T) {

@@ -191,9 +191,10 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 			p.ZeroGrad()
 		}
 	})
-	// ~40 graph nodes × a few bookkeeping objects each; a single escaped
-	// 128-row matrix payload would add hundreds of KiB and show up as the
-	// pool degrading, not as a small constant.
+	// The towers' graph nodes × a few bookkeeping objects each, plus the
+	// step's task slices (about 170 in all); a single escaped 128-row
+	// matrix payload would add hundreds of KiB and show up as the pool
+	// degrading, not as a small constant.
 	if allocs > 400 {
 		t.Fatalf("warm train step allocates %v objects; pool not effective", allocs)
 	}

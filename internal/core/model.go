@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 
 	"repro/internal/autodiff"
 	"repro/internal/dataset"
@@ -80,20 +81,9 @@ func standardize(m *tensor.Matrix) *tensor.Matrix {
 
 // NewModel builds an untrained model for the dataset.
 func NewModel(cfg Config, d *dataset.Dataset) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
+	fwSizes, fpSizes, err := towerSizes(cfg, d)
+	if err != nil {
 		return nil, err
-	}
-	if !cfg.UseWorkloadFeatures && !cfg.UsePlatformFeatures && cfg.LearnedFeatures == 0 {
-		return nil, fmt.Errorf("core: model needs features or learned features")
-	}
-	// A config can arrive from a persisted model and the dataset from the
-	// wire (LoadPredictor); a missing feature matrix must be an error, not
-	// a panic in standardize.
-	if cfg.UseWorkloadFeatures && d.WorkloadFeatures == nil {
-		return nil, fmt.Errorf("core: config requires workload features but dataset has none")
-	}
-	if cfg.UsePlatformFeatures && d.PlatformFeatures == nil {
-		return nil, fmt.Errorf("core: config requires platform features but dataset has none")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{Cfg: cfg, data: d}
@@ -103,17 +93,8 @@ func NewModel(cfg Config, d *dataset.Dataset) (*Model, error) {
 	if cfg.UsePlatformFeatures {
 		m.xp = standardize(d.PlatformFeatures)
 	}
-
-	dw, dp := 0, 0
-	if cfg.UseWorkloadFeatures {
-		dw = d.WorkloadFeatures.Cols
-	}
-	if cfg.UsePlatformFeatures {
-		dp = d.PlatformFeatures.Cols
-	}
-	r, s, h := cfg.EmbeddingDim, cfg.InterferenceTypes, cfg.NumHeads()
-	m.fw = nn.NewMLP(rng, nn.ActGELU, dw+cfg.LearnedFeatures, cfg.Hidden, cfg.Hidden, r*h)
-	m.fp = nn.NewMLP(rng, nn.ActGELU, dp+cfg.LearnedFeatures, cfg.Hidden, cfg.Hidden, r*(1+2*s))
+	m.fw = nn.NewMLP(rng, nn.ActGELU, fwSizes...)
+	m.fp = nn.NewMLP(rng, nn.ActGELU, fpSizes...)
 	m.params = append(m.params, m.fw.Params()...)
 	m.params = append(m.params, m.fp.Params()...)
 	if cfg.LearnedFeatures > 0 {
@@ -129,6 +110,64 @@ func NewModel(cfg Config, d *dataset.Dataset) (*Model, error) {
 		m.pInConst = autodiff.NewConst(m.xp)
 	}
 	return m, nil
+}
+
+// towerSizes validates cfg against the dataset and returns the layer
+// widths of the workload tower (ending in r per head) and the platform
+// tower (ending in r·(1+2s)). A config can arrive from a persisted model
+// and the dataset from the wire (LoadPredictor), so a missing feature
+// matrix, or a width or parameter count that overflows an int, is an
+// error rather than a panic later.
+func towerSizes(cfg Config, d *dataset.Dataset) (fw, fp []int, err error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if !cfg.UseWorkloadFeatures && !cfg.UsePlatformFeatures && cfg.LearnedFeatures == 0 {
+		return nil, nil, fmt.Errorf("core: model needs features or learned features")
+	}
+	dw, dp := 0, 0
+	if cfg.UseWorkloadFeatures {
+		if d.WorkloadFeatures == nil {
+			return nil, nil, fmt.Errorf("core: config requires workload features but dataset has none")
+		}
+		dw = d.WorkloadFeatures.Cols
+	}
+	if cfg.UsePlatformFeatures {
+		if d.PlatformFeatures == nil {
+			return nil, nil, fmt.Errorf("core: config requires platform features but dataset has none")
+		}
+		dp = d.PlatformFeatures.Cols
+	}
+	r, s, q, hid := cfg.EmbeddingDim, cfg.InterferenceTypes, cfg.LearnedFeatures, cfg.Hidden
+	outW, okW := mulInt(r, cfg.NumHeads())
+	twoS, okS := mulInt(2, s)
+	outP, okP := mulInt(r, twoS+1) // 2s is even, so 2s+1 cannot overflow
+	ok := okW && okS && okP && dw <= math.MaxInt-q && dp <= math.MaxInt-q
+	fw = []int{dw + q, hid, hid, outW}
+	fp = []int{dp + q, hid, hid, outP}
+	for _, sizes := range [][]int{fw, fp} {
+		for i := 0; ok && i+1 < len(sizes); i++ {
+			_, ok = mulInt(sizes[i], sizes[i+1])
+		}
+	}
+	if q > 0 && ok {
+		_, okW = mulInt(d.NumWorkloads(), q)
+		_, okP = mulInt(d.NumPlatforms(), q)
+		ok = okW && okP
+	}
+	if !ok {
+		return nil, nil, fmt.Errorf("core: model dimensions overflow (rank %d, %d interference types, hidden %d, %d learned features)",
+			r, s, hid, q)
+	}
+	return fw, fp, nil
+}
+
+// mulInt returns a·b for non-negative a and b, and false if it overflows.
+func mulInt(a, b int) (int, bool) {
+	if a != 0 && b > math.MaxInt/a {
+		return 0, false
+	}
+	return a * b, true
 }
 
 // workers returns the goroutine fan-out for parallel loss tasks and batch
@@ -260,90 +299,10 @@ func (m *Model) makeBatch(obsIdx []int, stripInterference bool) batch {
 	return bt
 }
 
-// predictBatch builds the prediction graph for one batch and head h
-// (paper Eq. 9):
-//
-//	ŷ = wᵢᵀpⱼ + Σ_t (wᵢᵀ v_s⁽ᵗ⁾) · α( Σ_k w_kᵀ v_g⁽ᵗ⁾ )
-//
-// returning a B x 1 Value of residual predictions. Embedding lookups use
-// the fused GatherCols (no full-width row copies for multi-head tables)
-// and the inner products use the fused RowDot (no B x r intermediates).
-func (m *Model) predictBatch(w, p *autodiff.Value, bt batch, h int) *autodiff.Value {
-	r, s := m.Cfg.EmbeddingDim, m.Cfg.InterferenceTypes
-	lo, hi := h*r, (h+1)*r
-	wi := autodiff.GatherCols(w, bt.wi, lo, hi)
-	pj := autodiff.GatherCols(p, bt.pj, 0, r)
-	pred := autodiff.RowDot(wi, pj)
-
-	if bt.degree > 0 && m.Cfg.Interference == InterferenceAware && s > 0 {
-		// Gather interferer embeddings once per slot.
-		wks := make([]*autodiff.Value, bt.degree)
-		for mi := 0; mi < bt.degree; mi++ {
-			wks[mi] = autodiff.GatherCols(w, bt.ks[mi], lo, hi)
-		}
-		for t := 0; t < s; t++ {
-			vs := autodiff.GatherCols(p, bt.pj, r*(1+t), r*(2+t))
-			vg := autodiff.GatherCols(p, bt.pj, r*(1+s+t), r*(2+s+t))
-			var mag *autodiff.Value
-			for mi := 0; mi < bt.degree; mi++ {
-				term := autodiff.RowDot(wks[mi], vg)
-				if mag == nil {
-					mag = term
-				} else {
-					mag = autodiff.Add(mag, term)
-				}
-			}
-			if m.Cfg.UseActivation {
-				mag = autodiff.LeakyReLU(mag, m.Cfg.ActivationSlope)
-			}
-			sus := autodiff.RowDot(wi, vs)
-			pred = autodiff.Add(pred, autodiff.Mul(sus, mag))
-		}
-	}
-	return pred
-}
-
-// headLoss builds the loss graph of one batch for a single head: pinball
-// at the head's quantile, or the configured squared loss for the mean
-// model (head 0).
-func (m *Model) headLoss(w, p *autodiff.Value, bt batch, h int) *autodiff.Value {
-	target := tensor.FromSlice(len(bt.target), 1, bt.target)
-	pred := m.predictBatch(w, p, bt, h)
-	if len(m.Cfg.Quantiles) == 0 {
-		if m.Cfg.Objective == ObjProportional {
-			// Relative squared error: weight each sample by 1/C*².
-			wgt := tensor.New(target.Rows, 1)
-			for i, c := range bt.target {
-				wgt.Data[i] = 1 / (c * c)
-			}
-			return autodiff.WeightedMSE(pred, target, wgt)
-		}
-		return autodiff.MSE(pred, target)
-	}
-	return autodiff.Pinball(pred, target, m.Cfg.Quantiles[h])
-}
-
-// batchLoss computes the training loss of one batch across all heads.
-// Quantile heads get equal weight (App. B.3).
-func (m *Model) batchLoss(w, p *autodiff.Value, bt batch) *autodiff.Value {
-	if len(m.Cfg.Quantiles) == 0 {
-		return m.headLoss(w, p, bt, 0)
-	}
-	var total *autodiff.Value
-	for h := range m.Cfg.Quantiles {
-		l := m.headLoss(w, p, bt, h)
-		if total == nil {
-			total = l
-		} else {
-			total = autodiff.Add(total, l)
-		}
-	}
-	return autodiff.Scale(total, 1/float64(len(m.Cfg.Quantiles)))
-}
-
 // predictResidualsInto fills dst with head h's residual predictions for
-// the batch using plain embedding matrices — the tape-free twin of
-// predictBatch, used by validation and batch inference.
+// the batch using plain embedding matrices — the forward half of
+// headLossGrad without its gradients, used by validation and batch
+// inference.
 func (m *Model) predictResidualsInto(dst []float64, wE, pE *tensor.Matrix, bt batch, h int) {
 	r, s := m.Cfg.EmbeddingDim, m.Cfg.InterferenceTypes
 	lo, hi := h*r, (h+1)*r
@@ -370,8 +329,199 @@ func (m *Model) predictResidualsInto(dst []float64, wE, pE *tensor.Matrix, bt ba
 	}
 }
 
+// headLossGrad is one (batch, head) task of a training step: head h's loss
+// on the batch (pinball at the head's quantile, or the configured squared
+// loss) and its backward pass, fused into one tape-free kernel. It reads
+// embedding rows in place and accumulates weight·∂loss into gw, the
+// Nw x r gradient of w's head-h column window, and gp, the gradient of
+// the whole platform table; both must arrive zeroed. It returns the
+// unweighted loss.
+//
+// The model is paper Eq. 9,
+//
+//	ŷ = wᵢᵀpⱼ + Σ_t (wᵢᵀ v_s⁽ᵗ⁾) · α( Σ_k w_kᵀ v_g⁽ᵗ⁾ ),
+//
+// and every sum replays the reverse-topological order of its autodiff
+// formulation (lossgraph_test.go), so the gradients are bit for bit the
+// graph's (TestHeadLossGradMatchesGraph):
+//
+//   - pj, vs_t and vg_t own disjoint column windows of gp, each filled in
+//     sample order. A sample's vg_t row sums g_term(t)·w_k over
+//     interferer slots d−1…0, starting from +0.
+//   - w's head window receives each interferer slot's rows for
+//     slot d−1…0, then the target rows, each in sample order. A sample's
+//     interferer row sums g_term(t)·vg_t over t = s−1…0 from +0; it is
+//     the same for every slot, so it is computed once. Its target row
+//     sums g_sus(t)·vs_t over t = s−1…0 from +0, then adds g·pj.
+//   - A product whose upstream gradient is exactly 0 is skipped, as the
+//     graph's RowDot does, because 0·Inf is NaN.
+//
+// Scalar gradients accumulate from +0 like the graph's zeroed buffers,
+// and a product the graph stores before adding is rounded here too
+// (float64 conversion), so no multiply-add can fuse differently.
+func (m *Model) headLossGrad(wD, pD, gw, gp *tensor.Matrix, bt batch, h int, weight float64, sc *lossScratch) float64 {
+	n := len(bt.target)
+	r, s := m.Cfg.EmbeddingDim, m.Cfg.InterferenceTypes
+	lo, hi := h*r, (h+1)*r
+	deg, nt := 0, 0 // interferer slots and interference types in the model
+	if bt.degree > 0 && m.Cfg.Interference == InterferenceAware && s > 0 {
+		deg, nt = bt.degree, s
+	}
+	sc.reserve(n, r, nt)
+	nf := float64(n)
+	quantile := len(m.Cfg.Quantiles) > 0
+	proportional := !quantile && m.Cfg.Objective == ObjProportional
+	var xi, c float64
+	if quantile {
+		xi, c = m.Cfg.Quantiles[h], weight/nf
+	} else {
+		c = 2 * weight / nf
+	}
+	activation, slope := m.Cfg.UseActivation, m.Cfg.ActivationSlope
+
+	var loss float64
+	for b := 0; b < n; b++ {
+		wi := wD.Row(bt.wi[b])[lo:hi]
+		prow := pD.Row(bt.pj[b])
+		pred := dot(wi, prow[:r])
+		for t := 0; t < nt; t++ {
+			vg := prow[r*(1+s+t) : r*(2+s+t)]
+			mag := dot(wD.Row(bt.ks[0][b])[lo:hi], vg)
+			for mi := 1; mi < deg; mi++ {
+				mag += dot(wD.Row(bt.ks[mi][b])[lo:hi], vg)
+			}
+			act := mag
+			if activation && !(mag > 0) {
+				act = slope * mag
+			}
+			sus := dot(wi, prow[r*(1+t):r*(2+t)])
+			pred += float64(sus * act)
+			sc.sus[t], sc.act[t], sc.mag[t] = sus, act, mag
+		}
+
+		target := bt.target[b]
+		var g float64 // ∂(weight·loss)/∂ŷ
+		switch {
+		case quantile:
+			if d := target - pred; d > 0 {
+				loss += xi * d
+			} else {
+				loss += (xi - 1) * d
+			}
+			if target > pred {
+				g += -xi * c
+			} else {
+				g += (1 - xi) * c
+			}
+		case proportional:
+			// Relative squared error: weight each sample by 1/C*².
+			wgt := 1 / (target * target)
+			d := pred - target
+			loss += wgt * d * d
+			g += c * wgt * d
+		default:
+			d := pred - target
+			loss += d * d
+			g += c * d
+		}
+
+		pg := gp.Row(bt.pj[b])
+		u := sc.u.Row(b) // each interferer row's gradient
+		v := sc.v.Row(b) // the target row's gradient
+		clear(u)
+		clear(v)
+		for t := nt - 1; t >= 0; t-- {
+			var gSus, gMag float64
+			gSus += g * sc.act[t]
+			gMag += g * sc.sus[t]
+			if activation {
+				df := 1.0
+				if !(sc.mag[t] > 0) {
+					df = slope
+				}
+				gAct := gMag
+				gMag = 0
+				gMag += gAct * df
+			}
+			if gSus != 0 {
+				vs := prow[r*(1+t) : r*(2+t)]
+				dst := pg[r*(1+t) : r*(2+t)]
+				for j, x := range wi {
+					v[j] += gSus * vs[j]
+					dst[j] += float64(gSus * x)
+				}
+			}
+			if gMag != 0 {
+				vg := prow[r*(1+s+t) : r*(2+s+t)]
+				for j, x := range vg {
+					u[j] += gMag * x
+				}
+				row := sc.row
+				clear(row)
+				for mi := deg - 1; mi >= 0; mi-- {
+					for j, x := range wD.Row(bt.ks[mi][b])[lo:hi] {
+						row[j] += gMag * x
+					}
+				}
+				dst := pg[r*(1+s+t) : r*(2+s+t)]
+				for j, x := range row {
+					dst[j] += x
+				}
+			}
+		}
+		if g != 0 {
+			pj, dst := prow[:r], pg[:r]
+			for j, x := range wi {
+				v[j] += g * pj[j]
+				dst[j] += float64(g * x)
+			}
+		}
+	}
+
+	for mi := deg - 1; mi >= 0; mi-- {
+		tensor.ScatterAddRows(gw, sc.u, bt.ks[mi])
+	}
+	tensor.ScatterAddRows(gw, sc.v, bt.wi)
+	return loss / nf
+}
+
+// lossScratch is one worker's reusable state for headLossGrad: each
+// sample's interferer-row and target-row gradients, one vg gradient row,
+// and a sample's per-type forward scalars. One worker holds it at a time
+// and runs its tasks on it in turn.
+type lossScratch struct {
+	u, v          *tensor.Matrix // B x r
+	row           []float64      // r
+	sus, act, mag []float64      // s
+}
+
+var lossScratchPool = sync.Pool{New: func() any { return new(lossScratch) }}
+
+func (sc *lossScratch) reserve(n, r, s int) {
+	sc.u, sc.v = reshape(sc.u, n, r), reshape(sc.v, n, r)
+	sc.row = growFloats(sc.row, r)
+	sc.sus, sc.act, sc.mag = growFloats(sc.sus, s), growFloats(sc.act, s), growFloats(sc.mag, s)
+}
+
+// reshape returns m resized to rows x cols, reusing its storage when it
+// is large enough. The contents are unspecified.
+func reshape(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	if m == nil || cap(m.Data) < rows*cols {
+		return tensor.New(rows, cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	return m
+}
+
+func growFloats(b []float64, n int) []float64 {
+	if cap(b) < n {
+		return make([]float64, n)
+	}
+	return b[:n]
+}
+
 // batchLossInfer computes the training loss of one batch across all heads
-// without building a tape, mirroring batchLoss.
+// without building a tape or any gradient.
 func (m *Model) batchLossInfer(wE, pE *tensor.Matrix, bt batch) float64 {
 	n := len(bt.target)
 	if n == 0 {

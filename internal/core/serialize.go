@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"repro/internal/dataset"
-	"repro/internal/tensor"
 )
 
 // modelFile is the on-disk representation of a trained model.
@@ -36,32 +35,41 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // Load reads a model saved by Save, rebinding it to the given dataset
-// (which must have the same entity counts and feature dimensions).
+// (which must have the same entity counts and feature dimensions). The
+// file arrives from disk or the wire, so every saved matrix is checked
+// against the shapes its config implies before anything is allocated: a
+// corrupt config cannot make NewModel build towers the file does not
+// hold.
 func Load(r io.Reader, d *dataset.Dataset) (*Model, error) {
 	var mf modelFile
 	if err := gob.NewDecoder(r).Decode(&mf); err != nil {
 		return nil, fmt.Errorf("core: decode model: %w", err)
 	}
-	m, err := NewModel(mf.Cfg, d)
+	shapes, err := paramShapes(mf.Cfg, d)
 	if err != nil {
 		return nil, err
 	}
-	if len(mf.Params) != len(m.params) {
+	if len(mf.Params) != len(shapes) {
 		return nil, fmt.Errorf("core: model has %d parameter tensors, file has %d",
-			len(m.params), len(mf.Params))
+			len(shapes), len(mf.Params))
 	}
 	for i, sp := range mf.Params {
-		if m.params[i].Data.Rows != sp.Rows || m.params[i].Data.Cols != sp.Cols {
+		if sp.Rows != shapes[i][0] || sp.Cols != shapes[i][1] {
 			return nil, fmt.Errorf("core: parameter %d shape %dx%d, file has %dx%d",
-				i, m.params[i].Data.Rows, m.params[i].Data.Cols, sp.Rows, sp.Cols)
+				i, shapes[i][0], shapes[i][1], sp.Rows, sp.Cols)
 		}
-		// The file arrives from disk or the wire: a payload that disagrees
-		// with its declared shape must error, not panic in FromSlice.
+		// paramShapes guarantees Rows*Cols does not overflow.
 		if len(sp.Data) != sp.Rows*sp.Cols {
 			return nil, fmt.Errorf("core: parameter %d has %d values for %dx%d",
 				i, len(sp.Data), sp.Rows, sp.Cols)
 		}
-		m.params[i].Data.CopyFrom(tensor.FromSlice(sp.Rows, sp.Cols, sp.Data))
+	}
+	m, err := NewModel(mf.Cfg, d)
+	if err != nil {
+		return nil, err
+	}
+	for i, sp := range mf.Params {
+		copy(m.params[i].Data.Data, sp.Data)
 	}
 	if mf.BaselineW != nil {
 		if len(mf.BaselineW) != d.NumWorkloads() || len(mf.BaselineP) != d.NumPlatforms() {
@@ -72,4 +80,24 @@ func Load(r io.Reader, d *dataset.Dataset) (*Model, error) {
 	}
 	m.SyncEmbeddings()
 	return m, nil
+}
+
+// paramShapes lists the rows and columns of every parameter NewModel
+// builds for cfg on d, in Params order: each tower layer's weight and
+// bias, then the learned-feature tables.
+func paramShapes(cfg Config, d *dataset.Dataset) ([][2]int, error) {
+	fw, fp, err := towerSizes(cfg, d)
+	if err != nil {
+		return nil, err
+	}
+	var shapes [][2]int
+	for _, sizes := range [][]int{fw, fp} {
+		for i := 0; i+1 < len(sizes); i++ {
+			shapes = append(shapes, [2]int{sizes[i], sizes[i+1]}, [2]int{1, sizes[i+1]})
+		}
+	}
+	if q := cfg.LearnedFeatures; q > 0 {
+		shapes = append(shapes, [2]int{d.NumWorkloads(), q}, [2]int{d.NumPlatforms(), q})
+	}
+	return shapes, nil
 }

@@ -100,7 +100,7 @@ type lossTask struct {
 
 // expandTasks flattens normalized per-batch weights into per-(batch, head)
 // tasks. Quantile heads split their batch's weight evenly (App. B.3), which
-// also lets each head's graph run on its own goroutine.
+// also lets each head's task run on its own goroutine.
 func (m *Model) expandTasks(batches []batch, weights []float64) []lossTask {
 	nh := m.Cfg.NumHeads()
 	tasks := make([]lossTask, 0, len(batches)*nh)
@@ -113,39 +113,45 @@ func (m *Model) expandTasks(batches []batch, weights []float64) []lossTask {
 }
 
 // runStep executes one optimization step over pre-normalized batch weights:
-// shared tower forward, per-(batch, head) loss graphs fanned out across
-// workers, deterministic gradient accumulation, tower backward, and graph
-// release back to the matrix pool. It returns the weighted training loss.
+// shared tower forward, per-(batch, head) loss kernels (headLossGrad)
+// fanned out across workers, deterministic gradient accumulation, tower
+// backward, and release back to the matrix pool. It returns the weighted
+// training loss.
 //
-// Parallelism never changes the result: each task differentiates a fully
-// disjoint subgraph rooted at stubs of the tower outputs, and stub
-// gradients are folded into the tower gradients sequentially in task order,
-// so floating-point accumulation order is fixed regardless of worker count
-// or goroutine scheduling.
+// Parallelism never changes the result: each task accumulates into its own
+// gradient buffers, which are folded into the tower gradients sequentially
+// in task order, so floating-point accumulation order is fixed regardless
+// of worker count or goroutine scheduling. A task's w gradient covers only
+// its head's column window. Folding just that window is exact: the
+// columns outside it would receive +0, and a gradient accumulated from +0
+// is never −0, so adding +0 cannot change it.
 func (m *Model) runStep(batches []batch, weights []float64) float64 {
 	w, p := m.embeddings()
 	tasks := m.expandTasks(batches, weights)
+	r := m.Cfg.EmbeddingDim
 
-	type taskGraph struct {
-		root, wStub, pStub *autodiff.Value
+	type taskGrad struct {
+		loss   float64
+		gw, gp *tensor.Matrix
 	}
-	graphs := make([]taskGraph, len(tasks))
-	run := func(i int) {
+	grads := make([]taskGrad, len(tasks))
+	run := func(i int, sc *lossScratch) {
 		t := tasks[i]
-		wS, pS := autodiff.Stub(w), autodiff.Stub(p)
-		loss := m.headLoss(wS, pS, t.bt, t.head)
-		loss.Grad.Data[0] = t.weight
-		loss.BackwardSeeded()
-		graphs[i] = taskGraph{root: loss, wStub: wS, pStub: pS}
+		gw := tensor.GetPooled(w.Data.Rows, r)
+		gp := tensor.GetPooled(p.Data.Rows, p.Data.Cols)
+		loss := m.headLossGrad(w.Data, p.Data, gw, gp, t.bt, t.head, t.weight, sc)
+		grads[i] = taskGrad{loss: loss, gw: gw, gp: gp}
 	}
 	workers := m.workers()
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
 	if workers <= 1 {
+		sc := lossScratchPool.Get().(*lossScratch)
 		for i := range tasks {
-			run(i)
+			run(i, sc)
 		}
+		lossScratchPool.Put(sc)
 	} else {
 		var wg sync.WaitGroup
 		next := make(chan int)
@@ -153,8 +159,10 @@ func (m *Model) runStep(batches []batch, weights []float64) float64 {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				sc := lossScratchPool.Get().(*lossScratch)
+				defer lossScratchPool.Put(sc)
 				for i := range next {
-					run(i)
+					run(i, sc)
 				}
 			}()
 		}
@@ -166,12 +174,19 @@ func (m *Model) runStep(batches []batch, weights []float64) float64 {
 	}
 
 	var total float64
-	for i := range graphs {
-		g := &graphs[i]
-		total += tasks[i].weight * g.root.Scalar()
-		tensor.AddInPlace(w.Grad, g.wStub.Grad)
-		tensor.AddInPlace(p.Grad, g.pStub.Grad)
-		autodiff.ReleaseGraph(g.root)
+	for i := range grads {
+		g := &grads[i]
+		total += tasks[i].weight * g.loss
+		lo := tasks[i].head * r
+		for k := 0; k < g.gw.Rows; k++ {
+			dst := w.Grad.Row(k)[lo : lo+r]
+			for j, v := range g.gw.Row(k) {
+				dst[j] += v
+			}
+		}
+		tensor.AddInPlace(p.Grad, g.gp)
+		tensor.PutPooled(g.gw)
+		tensor.PutPooled(g.gp)
 	}
 	w.BackwardSeeded()
 	p.BackwardSeeded()
